@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from . import mo
-from .formula import Formula, Var, or_all, and_all
+from .formula import Formula, Var, and_all, const_names, free_vars, or_all
 from .gadgets import commutator_f
 
 
@@ -56,6 +56,9 @@ def card_f(n: int) -> int:
     return out
 
 
+_POOL = (mo.CODE_ZERO, mo.CODE_ONE, mo.atom(1), mo.co_atom(1), mo.atom(2), mo.co_atom(2))
+
+
 def enumerate_signatures_2d(n: int) -> tuple[int, frozenset[tuple[int, ...]]]:
     """Fixed-point closure of evaluation signatures over the plane grid.
 
@@ -67,8 +70,7 @@ def enumerate_signatures_2d(n: int) -> tuple[int, frozenset[tuple[int, ...]]]:
     """
     if n not in (1, 2):
         raise ValueError("closure enumeration is supported for n in {1, 2}")
-    pool = [mo.CODE_ZERO, mo.CODE_ONE, mo.atom(1), mo.co_atom(1), mo.atom(2), mo.co_atom(2)]
-    grid = list(product(pool, repeat=n))
+    grid = list(product(_POOL, repeat=n))
     start: set[tuple[int, ...]] = set()
     for i in range(n):
         start.add(tuple(g[i] for g in grid))
@@ -95,21 +97,13 @@ def enumerate_signatures_2d(n: int) -> tuple[int, frozenset[tuple[int, ...]]]:
     return len(closed), frozenset(closed)
 
 
-def signature_of(f: Formula, n: int) -> tuple[int, ...]:
-    """Evaluation signature of a formula over the n-variable closure grid."""
-    pool = [mo.CODE_ZERO, mo.CODE_ONE, mo.atom(1), mo.co_atom(1), mo.atom(2), mo.co_atom(2)]
-    names = sorted({v for v in _vars(f)})
-    out = []
-    for assignment in product(pool, repeat=n):
-        env = {name: assignment[i] for i, name in enumerate(names)}
-        out.append(mo.evaluate(f, env))
-    return tuple(out)
-
-
-def _vars(f: Formula) -> Iterable[str]:
-    from .formula import free_vars
-
-    return free_vars(f)
+def signature_of(f: Formula, names: Sequence[str]) -> tuple[int, ...]:
+    """Evaluation signature of a formula over the closure grid of the
+    ordered coordinate names (n = len(names), first name slowest)."""
+    stray = (free_vars(f) | const_names(f)) - set(names)
+    if stray:
+        raise ValueError(f"names {sorted(stray)} are not grid coordinates")
+    return tuple(mo.evaluate(f, dict(zip(names, point))) for point in product(_POOL, repeat=len(names)))
 
 
 def encode_function(table: Mapping[tuple[int, ...], int], n: int) -> Formula:

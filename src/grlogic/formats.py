@@ -71,10 +71,6 @@ def verdict_from_obj(obj: dict[str, Any]) -> SatVerdict:
     return SatVerdict(obj["status"], witness, obj.get("certificate", ""))
 
 
-def family_to_obj(members: list[Subspace]) -> list[dict[str, Any]]:
-    return [subspace_to_obj(s) for s in members]
-
-
 def pluecker_to_obj(v) -> dict[str, Any]:
     return {
         "format": "grlogic/pluecker",

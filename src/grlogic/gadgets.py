@@ -12,22 +12,23 @@ from itertools import combinations
 from fractions import Fraction
 
 from .formula import (
+    ZERO,
     And,
     Assignment,
-    Const1,
     Formula,
-    NamedConst,
     Not,
     Or,
     Var,
     and_all,
     const_names,
     evaluate,
+    fold,
     free_vars,
     leaf_negation_form,
     or_all,
     rename_vars,
 )
+from .generic import moment_span
 from .lattice import Subspace
 
 
@@ -79,32 +80,9 @@ def restrict(f: Formula, g: Formula) -> Formula:
     """
     taken = set(free_vars(f)) | const_names(f)
     g_renamed, _ = fresh_rename(g, taken)
-    base = leaf_negation_form(f)
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, (Var, NamedConst)):
-            return And(node, g_renamed)
-        if isinstance(node, Not):
-            inner = node.child
-            if isinstance(inner, (Var, NamedConst)):
-                return And(Not(And(inner, g_renamed)), g_renamed)
-            raise AssertionError("leaf-negation form violated")
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, Const1):
-            return g_renamed  # top of the interval
-        return node  # constant 0
-
-    return walk(base)
-
-
-def sum_f(f: Formula, g: Formula) -> Formula:
-    """Join of f and g over disjoint variable blocks; value dims add (capped at d)."""
-    taken = set(free_vars(f))
-    g_renamed, _ = fresh_rename(g, taken)
-    return Or(f, g_renamed)
+    # 1 is the top of the interval; a complement's operand is a relativized leaf
+    leaf, neg = (lambda x: And(x, g_renamed)), (lambda v: And(Not(v), g_renamed))
+    return fold(leaf_negation_form(f), leaf, lambda: ZERO, lambda: g_renamed, neg, And, Or)
 
 
 def multiple(k: int, f: Formula) -> Formula:
@@ -304,13 +282,6 @@ def _diagonal_partner(x: Subspace) -> Subspace:
     return Subspace.from_rows(x.ambient, rows)
 
 
-def _moment_rows(ambient: int, params: list[Fraction]) -> Subspace:
-    from .generic import moment_line
-
-    rows = [moment_line(ambient, t).basis.row(0) for t in params]
-    return Subspace.from_rows(ambient, rows)
-
-
 def big_psi_witness(d: int, ambient: int, first: Subspace | None = None) -> Assignment:
     """A satisfying assignment of big_psi(d) over F^ambient, ambient = k*d.
 
@@ -355,7 +326,7 @@ def big_psi_witness(d: int, ambient: int, first: Subspace | None = None) -> Assi
             size = (1 << i) * k
             params = [t + j for j in range(size)]
             t += size
-            z = _moment_rows(ambient, params)
+            z = moment_span(ambient, params)
             x = chain[i]
             if not (z.complement().meet(x).is_zero() and x.complement().meet(z).is_zero()):
                 ok = False

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactlin import Scalar
 from .lattice import Subspace
@@ -98,7 +98,27 @@ def _pairwise_generic_pair(a: Subspace, b: Subspace) -> bool:
 
 
 def moment_line(d: int, t: Fraction) -> Subspace:
-    return Subspace.from_rows(d, [[Scalar(t**j) for j in range(d)]])
+    return moment_span(d, [t])
+
+
+def moment_span(d: int, params: Sequence[Fraction]) -> Subspace:
+    """Span of the moment-curve points (1, t, ..., t^(d-1)) at the given parameters."""
+    return Subspace.from_rows(d, [[Scalar(t**j) for j in range(d)] for t in params])
+
+
+def fresh_plane_lines(n: int, avoid: Iterable[Subspace]) -> list[Subspace]:
+    """The first n plane lines span(1, q), q = 1, 2, ..., that are pairwise
+    generic and never equal or perpendicular to anything in avoid."""
+    blocked = {t for s in avoid for t in (s, s.complement())}
+    out: list[Subspace] = []
+    q = 1
+    while len(out) < n:
+        line = Subspace.from_rows(2, [[Scalar(1), Scalar(q)]])
+        if line not in blocked:
+            out.append(line)
+            blocked.update((line, line.complement()))
+        q += 1
+    return out
 
 
 def vandermonde_generic(d: int, n: int, points: Optional[Sequence[Fraction]] = None) -> Family:

@@ -70,19 +70,7 @@ def join(a: int, b: int) -> int:
 
 def evaluate(f: fm.Formula, env: Mapping[str, int]) -> int:
     """Evaluate a formula on an assignment of codes."""
-    if isinstance(f, (fm.Var, fm.NamedConst)):
-        return env[f.name]
-    if isinstance(f, fm.Const0):
-        return CODE_ZERO
-    if isinstance(f, fm.Const1):
-        return CODE_ONE
-    if isinstance(f, fm.Not):
-        return neg(evaluate(f.child, env))
-    if isinstance(f, fm.And):
-        return meet(evaluate(f.left, env), evaluate(f.right, env))
-    if isinstance(f, fm.Or):
-        return join(evaluate(f.left, env), evaluate(f.right, env))
-    raise TypeError(f"not a formula node: {f!r}")
+    return fm.fold(f, lambda x: env[x.name], lambda: CODE_ZERO, lambda: CODE_ONE, neg, meet, join)
 
 
 ArrayLike = Union[int, np.ndarray]
@@ -109,24 +97,11 @@ def evaluate_grid(f: fm.Formula, var_axes: Mapping[str, int], n_axes: int, codes
     var_axes maps each free name to its axis; the result broadcasts to
     shape (len(codes),) * n_axes.
     """
-    if isinstance(f, (fm.Var, fm.NamedConst)):
+
+    def leaf(x: fm.Formula) -> np.ndarray:
         shape = [1] * n_axes
-        shape[var_axes[f.name]] = len(codes)
+        shape[var_axes[x.name]] = len(codes)
         return codes.reshape(shape)
-    if isinstance(f, fm.Const0):
-        return np.zeros((1,) * n_axes, dtype=codes.dtype)
-    if isinstance(f, fm.Const1):
-        return np.ones((1,) * n_axes, dtype=codes.dtype)
-    if isinstance(f, fm.Not):
-        return vneg(evaluate_grid(f.child, var_axes, n_axes, codes))
-    if isinstance(f, fm.And):
-        return vmeet(
-            evaluate_grid(f.left, var_axes, n_axes, codes),
-            evaluate_grid(f.right, var_axes, n_axes, codes),
-        )
-    if isinstance(f, fm.Or):
-        return vjoin(
-            evaluate_grid(f.left, var_axes, n_axes, codes),
-            evaluate_grid(f.right, var_axes, n_axes, codes),
-        )
-    raise TypeError(f"not a formula node: {f!r}")
+
+    zeros, ones = np.zeros((1,) * n_axes, dtype=codes.dtype), np.ones((1,) * n_axes, dtype=codes.dtype)
+    return fm.fold(f, leaf, lambda: zeros, lambda: ones, vneg, vmeet, vjoin)

@@ -23,12 +23,6 @@ class PlueckerVector:
     grade: int
     coords: tuple[tuple[tuple[int, ...], Scalar], ...]  # sorted 1-based index tuples
 
-    def coord(self, idx: tuple[int, ...]) -> Scalar:
-        for key, val in self.coords:
-            if key == idx:
-                return val
-        raise KeyError(idx)
-
     def as_dict(self) -> dict[tuple[int, ...], Scalar]:
         return dict(self.coords)
 

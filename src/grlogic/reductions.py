@@ -26,15 +26,16 @@ from .formula import (
     Not,
     Or,
     Var,
-    and_all,
     const_names,
     evaluate,
+    fold,
     free_vars,
     or_all,
+    polarity_forms,
     substitute,
 )
-from .gadgets import big_psi, commutator_f, eq_f, fneq2d, multiple, psi, restrict
-from .generic import degree, Family
+from .gadgets import big_psi, eq_f, fneq2d, multiple, npc_commuting_wrap, psi, restrict
+from .generic import degree, Family, fresh_plane_lines
 from .lattice import Subspace
 from .solve import CnfFormula, Mode
 
@@ -44,13 +45,7 @@ from .solve import CnfFormula, Mode
 def bool_to_q2d(cnf: CnfFormula) -> Formula:
     """Conjoin pairwise commutation of all variables: the result is
     (weakly) satisfiable over the plane iff the input is Boolean-satisfiable."""
-    f = cnf.to_formula()
-    names = sorted({v for c in cnf.clauses for v, _ in c})
-    parts: list[Formula] = [f]
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            parts.append(commutator_f(Var(names[i]), Var(names[j])))
-    return and_all(parts)
+    return npc_commuting_wrap(cnf.to_formula())
 
 
 def decode_q2d_witness(cnf: CnfFormula, witness: Assignment) -> Optional[dict[str, bool]]:
@@ -246,27 +241,13 @@ def _fresh_generic_constants(
 ) -> dict[str, Subspace]:
     """n fresh plane lines, pairwise generic and generic against all
     existing constants (never equal or perpendicular to any of them)."""
-    blocked: set[Subspace] = set()
-    for s in existing.values():
-        blocked.add(s)
-        blocked.add(s.complement())
-    taken_names = set(existing)
     out: dict[str, Subspace] = {}
-    q = 1
     k = 1
-    while len(out) < n:
-        line = Subspace.from_rows(2, [[Scalar(1), Scalar(q)]])
-        q += 1
-        if line in blocked:
-            continue
-        name = f"{prefix}{k}"
-        while name in taken_names:
+    for line in fresh_plane_lines(n, existing.values()):
+        while f"{prefix}{k}" in existing:
             k += 1
-            name = f"{prefix}{k}"
-        out[name] = line
-        taken_names.add(name)
-        blocked.add(line)
-        blocked.add(line.complement())
+        out[f"{prefix}{k}"] = line
+        k += 1
     return out
 
 
@@ -290,10 +271,8 @@ def exists_2d(
             if cand not in seen:
                 pool.append(cand)
                 seen.add(cand)
-    fresh_env = {**consts, **{f"b{i}": s for i, s in enumerate(binding.bindings.values())}}
-    for extra in _fresh_generic_constants(2, fresh_env, "F").values():
-        pool.append(extra)
-        pool.append(extra.complement())
+    for extra in fresh_plane_lines(2, pool):
+        pool += [extra, extra.complement()]
     full = Subspace.full(2)
     for cand in pool:
         env = dict(binding.bindings)
@@ -413,9 +392,7 @@ class _Emitter:
     def require_zero(self, re: Poly, im: Poly) -> None:
         if re:
             self.equations.append(re)
-        if im and self.split:
-            self.equations.append(im)
-        elif im and not self.split:
+        if im:
             self.equations.append(im)
 
 
@@ -549,57 +526,52 @@ def _require_matrix_zero(em: _Emitter, expr: _MatrixExpr) -> None:
 
 
 def _demorganize(f: Formula) -> Formula:
-    """Rewrite meets as complemented joins so only Or/Not/leaves remain."""
-    if isinstance(f, And):
-        return Not(Or(Not(_demorganize(f.left)), Not(_demorganize(f.right))))
-    if isinstance(f, Or):
-        return Or(_demorganize(f.left), _demorganize(f.right))
-    if isinstance(f, Not):
-        return Not(_demorganize(f.child))
-    return f
+    """Complements pushed down (!!g collapsed to g) and meets rewritten as
+    complemented joins, so only Or, Not and leaves remain."""
+    return polarity_forms(f, Not, lambda x, y: Not(Or(x[1], y[1])))[0]
+
+
+def _no_meet(*_: object) -> str:
+    raise AssertionError("meets are rewritten by de Morgan before emission")
 
 
 def _emit(f: Formula, em: _Emitter) -> tuple[str, dict[str, str]]:
+    """Emit each distinct node of the de Morgan form once, in fold order."""
     leaf_map: dict[str, str] = {}
     d = em.d
 
-    def node(g: Formula) -> str:
-        if isinstance(g, (Var, NamedConst)):
-            if g.name not in leaf_map:
-                leaf_map[g.name] = em.fresh_matrix(d, d)
-            return leaf_map[g.name]
-        if isinstance(g, Const0):
-            name = em.fresh_matrix(d, d)
-            _require_matrix_zero(em, _matrix_symbol(em, name))
-            return name
-        if isinstance(g, Const1):
-            name = em.fresh_matrix(d, d)
-            _require_matrix_zero(em, _matrix_symbol(em, name).sub(_MatrixExpr.constant(d, Fraction(1))))
-            return name
-        if isinstance(g, Or):
-            s, t = node(g.left), node(g.right)
-            r = em.fresh_matrix(d, d)
-            x, y, w, z = (em.fresh_matrix(d, d) for _ in range(4))
-            sm, tm, rm = (_matrix_symbol(em, n) for n in (s, t, r))
-            xm, ym, wm, zm = (_matrix_symbol(em, n) for n in (x, y, w, z))
-            _require_matrix_zero(em, rm.sub(sm.mul(xm)).sub(tm.mul(ym)))
-            _require_matrix_zero(em, sm.sub(rm.mul(wm)))
-            _require_matrix_zero(em, tm.sub(rm.mul(zm)))
-            return r
-        if isinstance(g, Not):
-            t = node(g.child)
-            s = em.fresh_matrix(d, d)
-            x = em.fresh_matrix(d, d)
-            sm, tm, xm = (_matrix_symbol(em, n) for n in (s, t, x))
-            s_adj = _MatrixExpr.symbol(em, s, d, d, conj=True)
-            # S^adj T = 0: the column ranges are orthogonal
-            prod = _transpose(s_adj).mul(tm)
-            _require_matrix_zero(em, prod)
-            _require_matrix_zero(em, sm.add(tm).mul(xm).sub(_MatrixExpr.constant(d, Fraction(1))))
-            return s
-        raise AssertionError(f"unexpected node after de Morgan rewrite: {g!r}")
+    def leaf(x: Formula) -> str:
+        if x.name not in leaf_map:
+            leaf_map[x.name] = em.fresh_matrix(d, d)
+        return leaf_map[x.name]
 
-    root = node(_demorganize(f))
+    def constant(diag: int) -> str:
+        name = em.fresh_matrix(d, d)
+        _require_matrix_zero(em, _matrix_symbol(em, name).sub(_MatrixExpr.constant(d, Fraction(diag))))
+        return name
+
+    def join(s: str, t: str) -> str:
+        r = em.fresh_matrix(d, d)
+        x, y, w, z = (em.fresh_matrix(d, d) for _ in range(4))
+        sm, tm, rm = (_matrix_symbol(em, n) for n in (s, t, r))
+        xm, ym, wm, zm = (_matrix_symbol(em, n) for n in (x, y, w, z))
+        _require_matrix_zero(em, rm.sub(sm.mul(xm)).sub(tm.mul(ym)))
+        _require_matrix_zero(em, sm.sub(rm.mul(wm)))
+        _require_matrix_zero(em, tm.sub(rm.mul(zm)))
+        return r
+
+    def neg(t: str) -> str:
+        s = em.fresh_matrix(d, d)
+        x = em.fresh_matrix(d, d)
+        sm, tm, xm = (_matrix_symbol(em, n) for n in (s, t, x))
+        s_adj = _MatrixExpr.symbol(em, s, d, d, conj=True)
+        # S^adj T = 0: the column ranges are orthogonal
+        prod = _transpose(s_adj).mul(tm)
+        _require_matrix_zero(em, prod)
+        _require_matrix_zero(em, sm.add(tm).mul(xm).sub(_MatrixExpr.constant(d, Fraction(1))))
+        return s
+
+    root = fold(_demorganize(f), leaf, lambda: constant(0), lambda: constant(1), neg, _no_meet, join)
     return root, leaf_map
 
 
@@ -653,7 +625,6 @@ def witness_to_point(system: PolySystem, f: Formula, witness: Assignment) -> dic
         raise ValueError("witness transfer is implemented for split systems")
     d = system.d
     matrices: dict[str, Matrix] = {}
-    f_dm = _demorganize(f)
     counter = [0]
 
     def take(expected_rows: int, expected_cols: int) -> str:
@@ -663,21 +634,10 @@ def witness_to_point(system: PolySystem, f: Formula, witness: Assignment) -> dic
             raise AssertionError("matrix layout mismatch during witness transfer")
         return name
 
-    def basis_matrix(s: Subspace) -> Matrix:
-        cols = []
-        for r in range(s.dim):
-            cols.append(list(s.basis.row(r)))
-        while len(cols) < d:
-            cols.append([Scalar(0)] * d)
-        return Matrix.from_rows(cols, cols=d).transpose()
-
-    def anti_basis_matrix(s: Subspace) -> Matrix:
-        comp = s.complement()
-        cols = [[Scalar(0)] * d for _ in range(s.dim)]
-        for r in range(comp.dim):
-            cols.append(list(comp.basis.row(r)))
-        while len(cols) < d:
-            cols.append([Scalar(0)] * d)
+    def basis_matrix(s: Subspace, skip: int = 0) -> Matrix:
+        """d x d: `skip` zero columns, then the basis of s, then zero columns."""
+        cols = [[Scalar(0)] * d for _ in range(skip)] + [list(s.basis.row(r)) for r in range(s.dim)]
+        cols += [[Scalar(0)] * d for _ in range(d - len(cols))]
         return Matrix.from_rows(cols, cols=d).transpose()
 
     def solve_cols(a: Matrix, b: Matrix) -> Matrix:
@@ -689,52 +649,49 @@ def witness_to_point(system: PolySystem, f: Formula, witness: Assignment) -> dic
             out_cols.append(x)
         return Matrix.from_rows(out_cols, cols=a.cols).transpose()
 
-    def node(g: Formula) -> tuple[str, Subspace]:
-        if isinstance(g, (Var, NamedConst)):
-            name = system.leaf_matrices[g.name]
-            if name not in matrices:
-                # first encounter allocates the next number in the emitter
-                if name != f"M{counter[0]}":
-                    raise AssertionError("matrix layout mismatch at leaf")
-                counter[0] += 1
-                matrices[name] = basis_matrix(witness.bound(g.name))
-            return name, witness.bound(g.name)
-        if isinstance(g, Const0):
-            name = take(d, d)
-            matrices[name] = Matrix.zeros(d, d)
-            return name, Subspace.zero(d)
-        if isinstance(g, Const1):
-            name = take(d, d)
-            matrices[name] = Matrix.identity(d)
-            return name, Subspace.full(d)
-        if isinstance(g, Or):
-            s_name, s_val = node(g.left)
-            t_name, t_val = node(g.right)
-            r_name = take(d, d)
-            names = [take(d, d) for _ in range(4)]
-            value = s_val.join(t_val)
-            rm = basis_matrix(value)
-            matrices[r_name] = rm
-            st = matrices[s_name].hstack(matrices[t_name])
-            xy = solve_cols(st, rm)  # 2d x d
-            matrices[names[0]] = Matrix.from_rows([xy.row(i) for i in range(d)], cols=d)
-            matrices[names[1]] = Matrix.from_rows([xy.row(i) for i in range(d, 2 * d)], cols=d)
-            matrices[names[2]] = solve_cols(rm, matrices[s_name])
-            matrices[names[3]] = solve_cols(rm, matrices[t_name])
-            return r_name, value
-        if isinstance(g, Not):
-            t_name, t_val = node(g.child)
-            s_name = take(d, d)
-            x_name = take(d, d)
-            value = t_val.complement()
-            sm = anti_basis_matrix(t_val)
-            matrices[s_name] = sm
-            total = sm + matrices[t_name]
-            matrices[x_name] = solve_cols(total, Matrix.identity(d))
-            return s_name, value
-        raise AssertionError(f"unexpected node {g!r}")
+    # the same fold as the emitter's, so nodes take matrices in its order
+    def leaf(x: Formula) -> tuple[str, Subspace]:
+        name = system.leaf_matrices[x.name]
+        if name not in matrices:
+            # first encounter allocates the next number in the emitter
+            if name != take(d, d):
+                raise AssertionError("matrix layout mismatch at leaf")
+            matrices[name] = basis_matrix(witness.bound(x.name))
+        return name, witness.bound(x.name)
 
-    root_name, root_val = node(f_dm)
+    def constant(value: Subspace) -> tuple[str, Subspace]:
+        name = take(d, d)
+        matrices[name] = basis_matrix(value)
+        return name, value
+
+    def join(s: tuple[str, Subspace], t: tuple[str, Subspace]) -> tuple[str, Subspace]:
+        (s_name, s_val), (t_name, t_val) = s, t
+        r_name = take(d, d)
+        names = [take(d, d) for _ in range(4)]
+        value = s_val.join(t_val)
+        rm = basis_matrix(value)
+        matrices[r_name] = rm
+        st = matrices[s_name].hstack(matrices[t_name])
+        xy = solve_cols(st, rm)  # 2d x d
+        matrices[names[0]] = Matrix.from_rows([xy.row(i) for i in range(d)], cols=d)
+        matrices[names[1]] = Matrix.from_rows([xy.row(i) for i in range(d, 2 * d)], cols=d)
+        matrices[names[2]] = solve_cols(rm, matrices[s_name])
+        matrices[names[3]] = solve_cols(rm, matrices[t_name])
+        return r_name, value
+
+    def neg(t: tuple[str, Subspace]) -> tuple[str, Subspace]:
+        # the operand is a leaf or a join (complements never nest), so its
+        # matrix has the basis first and the sum below is invertible
+        t_name, t_val = t
+        s_name = take(d, d)
+        x_name = take(d, d)
+        value = t_val.complement()
+        matrices[s_name] = basis_matrix(value, skip=t_val.dim)
+        matrices[x_name] = solve_cols(matrices[s_name] + matrices[t_name], Matrix.identity(d))
+        return s_name, value
+
+    zero, one = Subspace.zero(d), Subspace.full(d)
+    root_name, _ = fold(_demorganize(f), leaf, lambda: constant(zero), lambda: constant(one), neg, _no_meet, join)
     if system.mode == "strong":
         x_name = take(d, d)
         matrices[x_name] = solve_cols(matrices[root_name], Matrix.identity(d))

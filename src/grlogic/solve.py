@@ -27,25 +27,22 @@ import numpy as np
 from . import mo
 from .exactlin import Scalar
 from .formula import (
-    And,
     Assignment,
-    Const0,
-    Const1,
     Formula,
     NamedConst,
     Not,
-    Or,
     Var,
     and_all,
+    conjuncts,
     const_names,
     evaluate,
+    fold,
     free_vars,
-    iter_nodes,
     length,
     or_all,
 )
 from .exactlin import Matrix
-from .generic import moment_line, pairwise_generic
+from .generic import fresh_plane_lines, moment_line, moment_span, pairwise_generic
 from .lattice import Subspace, embed, graph_subspace
 
 Mode = Literal["strong", "weak"]
@@ -59,9 +56,6 @@ class SatVerdict:
     status: Literal["sat", "unsat", "unknown"]
     witness: Optional[Assignment] = None
     certificate: str = ""
-
-    def is_sat(self) -> bool:
-        return self.status == "sat"
 
 
 # -- conjunctive forms ---------------------------------------------------------
@@ -171,17 +165,10 @@ def decide_boolean(f: Formula) -> SatVerdict:
     n = len(names)
     if n > _BOOLEAN_VAR_CAP:
         raise ValueError(f"{n} variables exceeds the Boolean cap {_BOOLEAN_VAR_CAP}")
-    codes = np.array([0, 1], dtype=np.int16)
-    acc = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, codes)
-    acc = np.broadcast_to(acc, (2,) * n)
-    hits = acc == 1
-    if not hits.any():
+    digits = _decide_2d_vectorized(f, "strong", names, 2)  # codes 0 and 1 only: Boolean values
+    if digits is None:
         return SatVerdict("unsat", None, "boolean: exhaustive over {0,1}^n")
-    flat = int(np.argmax(hits.ravel()))
-    digits = np.unravel_index(flat, (2,) * n) if n else ()
-    bindings = {
-        v: (Subspace.full(1) if int(digit) else Subspace.zero(1)) for v, digit in zip(names, digits)
-    }
+    bindings = {v: (Subspace.full(1) if digit else Subspace.zero(1)) for v, digit in zip(names, digits)}
     witness = Assignment(1, bindings)
     assert verify(f, witness, "strong")
     return SatVerdict("sat", witness, "boolean: exhaustive over {0,1}^n")
@@ -250,6 +237,7 @@ def decide_2d(
 
 
 def _decide_2d_vectorized(f: Formula, mode: Mode, names: list[str], pool_size: int) -> Optional[tuple[int, ...]]:
+    """First point of the full code grid (numpy) where f satisfies the mode, or None."""
     n = len(names)
     codes = np.arange(pool_size, dtype=np.int16)
     acc = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, codes)
@@ -262,15 +250,9 @@ def _decide_2d_vectorized(f: Formula, mode: Mode, names: list[str], pool_size: i
     return tuple(int(x) for x in digits)
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flatten_and(f.left) + _flatten_and(f.right)
-    return [f]
-
-
 def _decide_2d_backtracking(f: Formula, mode: Mode, names: list[str], pool_size: int) -> Optional[tuple[int, ...]]:
-    conjuncts = _flatten_and(f)
-    con_vars = [sorted(free_vars(c)) for c in conjuncts]
+    parts = conjuncts(f)
+    con_vars = [sorted(free_vars(c)) for c in parts]
     order = {v: i for i, v in enumerate(names)}
     # a conjunct becomes checkable once its last variable is assigned
     ready: dict[int, list[int]] = {i: [] for i in range(len(names))}
@@ -278,18 +260,18 @@ def _decide_2d_backtracking(f: Formula, mode: Mode, names: list[str], pool_size:
         if cv:
             ready[max(order[v] for v in cv)].append(ci)
     closed = [ci for ci, cv in enumerate(con_vars) if not cv]
-    memo: list[dict[tuple[int, ...], int]] = [dict() for _ in conjuncts]
+    memo: list[dict[tuple[int, ...], int]] = [dict() for _ in parts]
     env: dict[str, int] = {}
 
     def conjunct_value(ci: int) -> int:
         key = tuple(env[v] for v in con_vars[ci])
         table = memo[ci]
         if key not in table:
-            table[key] = mo.evaluate(conjuncts[ci], env)
+            table[key] = mo.evaluate(parts[ci], env)
         return table[key]
 
     for ci in closed:
-        val = mo.evaluate(conjuncts[ci], {})
+        val = mo.evaluate(parts[ci], {})
         if (mode == "strong" and val != 1) or (mode == "weak" and val == 0):
             return None
 
@@ -299,7 +281,7 @@ def _decide_2d_backtracking(f: Formula, mode: Mode, names: list[str], pool_size:
         if depth == len(names):
             if mode == "weak":
                 acc = 1
-                for ci in range(len(conjuncts)):
+                for ci in range(len(parts)):
                     acc = mo.meet(acc, conjunct_value(ci))
                     if acc == 0:
                         return None
@@ -328,24 +310,6 @@ def _decide_2d_backtracking(f: Formula, mode: Mode, names: list[str], pool_size:
     return descend(0)
 
 
-def _fresh_plane_lines(n: int, avoid: Sequence[Subspace]) -> list[Subspace]:
-    """n distinct plane lines, none equal or perpendicular to anything in avoid."""
-    blocked = set()
-    for s in avoid:
-        blocked.add(s)
-        blocked.add(s.complement())
-    out: list[Subspace] = []
-    q = 1
-    while len(out) < n:
-        line = Subspace.from_rows(2, [[Scalar(1), Scalar(q)]])
-        if line not in blocked:
-            out.append(line)
-            blocked.add(line)
-            blocked.add(line.complement())
-        q += 1
-    return out
-
-
 def _decide_2d_concrete(f: Formula, mode: Mode, constants: dict[str, Subspace]) -> SatVerdict:
     for name, sub in constants.items():
         if sub.ambient != 2:
@@ -356,7 +320,7 @@ def _decide_2d_concrete(f: Formula, mode: Mode, constants: dict[str, Subspace]) 
     for name in sorted(constants):
         pool.append(constants[name])
         pool.append(constants[name].complement())
-    pool.extend(_fresh_plane_lines(n, pool))
+    pool.extend(fresh_plane_lines(n, pool))
     target = pool_search(f, mode, names, pool, Assignment(2, dict(constants)), None)
     cert = f"2d: complete pool enumeration with constants ({len(pool)}^{n} assignments)"
     if target is None:
@@ -382,8 +346,8 @@ def pool_search(
     """
     ambient = base.ambient
     full = Subspace.full(ambient)
-    conjuncts = _flatten_and(f)
-    con_vars = [sorted(free_vars(c)) for c in conjuncts]
+    parts = conjuncts(f)
+    con_vars = [sorted(free_vars(c)) for c in parts]
     order = {v: i for i, v in enumerate(names)}
     ready: dict[int, list[int]] = {i: [] for i in range(len(names))}
     closed: list[int] = []
@@ -392,7 +356,7 @@ def pool_search(
             ready[max(order[v] for v in cv)].append(ci)
         else:
             closed.append(ci)
-    memo: list[dict[tuple[int, ...], Subspace]] = [dict() for _ in conjuncts]
+    memo: list[dict[tuple[int, ...], Subspace]] = [dict() for _ in parts]
     digits: dict[str, int] = {}
     env = dict(base.bindings)
 
@@ -400,11 +364,11 @@ def pool_search(
         key = tuple(digits[v] for v in con_vars[ci])
         table = memo[ci]
         if key not in table:
-            table[key] = evaluate(conjuncts[ci], Assignment(ambient, env))
+            table[key] = evaluate(parts[ci], Assignment(ambient, env))
         return table[key]
 
     for ci in closed:
-        val = evaluate(conjuncts[ci], Assignment(ambient, env))
+        val = evaluate(parts[ci], Assignment(ambient, env))
         if (mode == "strong" and val != full) or (mode == "weak" and val.is_zero()):
             return None
 
@@ -415,7 +379,7 @@ def pool_search(
         if depth == len(names):
             count += 1
             value = full
-            for ci in range(len(conjuncts)):
+            for ci in range(len(parts)):
                 value = value.meet(conjunct_value(ci))
                 if value.is_zero():
                     break
@@ -618,17 +582,12 @@ def _decide_cnf_strong(cnf: CnfFormula, f: Formula, d: int) -> SatVerdict:
         return SatVerdict("unsat", None, "cnf: odd dimension, residual 2-SAT unsatisfiable")
     k = (d - 1) // 2
     for i, v in enumerate(rem_vars):
-        block = _moment_block(d, k, i)
+        block = moment_span(d, [Fraction(i * k + r + 1) for r in range(k)])
         bindings[v] = block.complement() if assignment[v] else block
     witness = Assignment(d, bindings)
     if verify(f, witness, "strong"):
         return SatVerdict("sat", witness, "cnf: odd dimension, mixed Boolean/moment-block witness")
     return SatVerdict("unknown", None, "cnf: odd-d witness failed verification (bug signal)")
-
-
-def _moment_block(d: int, k: int, i: int) -> Subspace:
-    rows = [moment_line(d, Fraction(i * k + r + 1)).basis.row(0) for r in range(k)]
-    return Subspace.from_rows(d, rows)
 
 
 def _decide_cnf_weak(cnf: CnfFormula, f: Formula, d: int) -> SatVerdict:
@@ -741,42 +700,10 @@ def shrink_witness(g: Formula, a: Assignment, z: Subspace) -> Assignment:
     the target line to both sides, joins split it by an exact linear
     solve, and every variable collects the join of its contributions.
     """
-    if any(isinstance(n, Not) for n in iter_nodes(g)):
-        raise ValueError("shrink_witness needs a negation-free formula")
-    if any(isinstance(n, NamedConst) for n in iter_nodes(g)):
-        raise ValueError("shrink_witness does not support named constants")
     if z.dim != 1:
         raise ValueError("target must be a line")
-    if not evaluate(g, a).contains(z):
-        raise ValueError("assignment does not weakly satisfy the formula at the target line")
-
     d = a.ambient
     zero = Subspace.zero(d)
-
-    def values(node: Formula) -> Subspace:
-        return evaluate(node, a)
-
-    def go(node: Formula, t: Subspace) -> dict[str, Subspace]:
-        if t.is_zero():
-            return {}
-        if isinstance(node, Var):
-            return {node.name: t}
-        if isinstance(node, Const1):
-            return {}
-        if isinstance(node, Const0):
-            raise AssertionError("constant 0 cannot contain a nonzero target")
-        if isinstance(node, And):
-            return _merge(go(node.left, t), go(node.right, t))
-        if isinstance(node, Or):
-            t1, t2 = _split_line(t, values(node.left), values(node.right))
-            return _merge(go(node.left, t1), go(node.right, t2))
-        raise TypeError(f"unexpected node {node!r}")
-
-    def _merge(x: dict[str, Subspace], y: dict[str, Subspace]) -> dict[str, Subspace]:
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = out[k].join(v) if k in out else v
-        return out
 
     def _split_line(t: Subspace, left: Subspace, right: Subspace) -> tuple[Subspace, Subspace]:
         vec = list(t.basis.row(0))
@@ -789,14 +716,57 @@ def shrink_witness(g: Formula, a: Assignment, z: Subspace) -> Assignment:
         for i in range(k):
             if coeffs[i].is_zero():
                 continue
-            row = left.basis.row(i)
-            v1 = [x + coeffs[i] * y for x, y in zip(v1, row)]
+            v1 = [x + coeffs[i] * y for x, y in zip(v1, left.basis.row(i))]
         v2 = [x - y for x, y in zip(vec, v1)]
         t1 = zero if all(x.is_zero() for x in v1) else Subspace.from_rows(d, [v1])
         t2 = zero if all(x.is_zero() for x in v2) else Subspace.from_rows(d, [v2])
         return t1, t2
 
-    shrunk = go(g, z)
+    # one fold gives each distinct node a row (kind, value, operand rows)
+    rows: list[tuple[str, Subspace, tuple]] = []
+
+    def row(kind: str, value: Subspace, *operands: object) -> int:
+        rows.append((kind, value, operands))
+        return len(rows) - 1
+
+    def leaf(x: Formula) -> int:
+        if type(x) is NamedConst:
+            raise ValueError("shrink_witness does not support named constants")
+        return row("var", a.bound(x.name), x.name)
+
+    def neg(_: int) -> int:
+        raise ValueError("shrink_witness needs a negation-free formula")
+
+    meet = lambda i, j: row("meet", rows[i][1].meet(rows[j][1]), i, j)  # noqa: E731
+    join = lambda i, j: row("join", rows[i][1].join(rows[j][1]), i, j)  # noqa: E731
+    root = fold(g, leaf, lambda: row("zero", zero), lambda: row("one", Subspace.full(d)), neg, meet, join)
+    if not rows[root][1].contains(z):
+        raise ValueError("assignment does not weakly satisfy the formula at the target line")
+
+    # parents come after their children in the fold, so walking the rows
+    # backwards hands every occurrence of a node its target line first
+    targets: list[list[Subspace]] = [[] for _ in rows]
+    targets[root].append(z)
+    shrunk: dict[str, Subspace] = {}
+    for i in reversed(range(len(rows))):
+        kind, _, operands = rows[i]
+        for t in targets[i]:
+            if t.is_zero():
+                continue
+            if kind == "var":
+                name = operands[0]
+                shrunk[name] = shrunk[name].join(t) if name in shrunk else t
+            elif kind == "zero":
+                raise AssertionError("constant 0 cannot contain a nonzero target")
+            elif kind == "meet":
+                targets[operands[0]].append(t)
+                targets[operands[1]].append(t)
+            elif kind == "join":
+                left, right = operands
+                t1, t2 = _split_line(t, rows[left][1], rows[right][1])
+                targets[left].append(t1)
+                targets[right].append(t2)
+
     bindings = {v: shrunk.get(v, zero) for v in free_vars(g)}
     return Assignment(d, bindings)
 

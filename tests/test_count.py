@@ -52,8 +52,13 @@ def test_closure_enumeration():
     n2, sigs2 = ct.enumerate_signatures_2d(2)
     assert n1 == 4 and n2 == 96
     c = commutator_f(Var("X"), Var("Y"))
-    assert ct.signature_of(c, 2) in sigs2
-    assert ct.signature_of(Not(c), 2) in sigs2
+    assert ct.signature_of(c, ["X", "Y"]) in sigs2
+    assert ct.signature_of(Not(c), ["X", "Y"]) in sigs2
+    # coordinates are the given names, not the formula's own variables
+    assert ct.signature_of(Var("A"), ["A", "B"]) != ct.signature_of(Var("B"), ["A", "B"])
+    assert ct.signature_of(Var("B"), ["A", "B"]) in sigs2
+    with pytest.raises(ValueError):
+        ct.signature_of(Var("C"), ["A", "B"])
     with pytest.raises(ValueError):
         ct.enumerate_signatures_2d(3)
 

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from grlogic import mo
+from grlogic import formula as fm
 from grlogic.formula import (
     And,
     Assignment,
@@ -12,6 +14,8 @@ from grlogic.formula import (
     Or,
     ParseError,
     Var,
+    and_all,
+    conjuncts,
     evaluate,
     format_formula,
     free_vars,
@@ -20,8 +24,10 @@ from grlogic.formula import (
     nnf,
     nnf_with_map,
     parse,
+    substitute,
 )
 from grlogic.lattice import Subspace
+from grlogic.solve import decide_2d
 
 from conftest import random_formula, random_subspace
 
@@ -54,7 +60,7 @@ def test_print_parse_roundtrip_random():
     rng = random.Random(31)
     for _ in range(300):
         f = random_formula(rng, ["X", "Y", "Z"], rng.randint(0, 12))
-        assert parse(format_formula(f)) == f
+        assert parse(format_formula(f)) is f
 
 
 def test_commutator_resugar():
@@ -62,7 +68,7 @@ def test_commutator_resugar():
 
     c = commutator_f(Var("A"), Var("B"))
     assert format_formula(c) == "C(A, B)"
-    assert parse(format_formula(c)) == c
+    assert parse(format_formula(c)) is c
     nested = And(c, Var("Z"))
     assert "C(A, B)" in format_formula(nested)
 
@@ -71,7 +77,7 @@ def test_named_constants():
     f = parse("X & K", constants={"K"})
     assert NamedConst("K") in list(_leaves(f))
     # printing keeps the name; reparsing with the same constant set round-trips
-    assert parse(format_formula(f), constants={"K"}) == f
+    assert parse(format_formula(f), constants={"K"}) is f
 
 
 def _leaves(f):
@@ -228,9 +234,83 @@ def test_parser_never_crashes_on_garbage():
         except ParseError:
             continue
         # whatever parses must round-trip
-        assert parse(format_formula(f)) == f
+        assert parse(format_formula(f)) is f
 
 
 def test_whitespace_insignificant():
     assert parse("X&Y |!Z") == parse("  X & Y | ! Z  ")
     assert parse("C( X ,Y )") == parse("C(X,Y)")
+
+
+# -- hash-consing and depth ----------------------------------------------------
+
+
+def test_equal_structure_is_one_object():
+    x, y = Var("X"), Var("Y")
+    assert Var("X") is x and NamedConst("X") is not x
+    assert And(x, Not(y)) is And(Var("X"), Not(Var("Y")))
+    assert And(x, y) is not Or(x, y) and And(x, y) is not And(y, x)
+    assert parse("C(X,Y)") is parse("C(X, Y)") is parse(format_formula(parse("C(X,Y)")))
+    assert Const0() is Const0() and Const1() is Const1()
+
+
+def test_nodes_are_immutable():
+    f = parse("X & !Y")
+    for node, attr in ((f, "left"), (f.right, "child"), (f.left, "name"), (Const1(), "extra")):
+        with pytest.raises(AttributeError):
+            setattr(node, attr, Var("Z"))
+    assert f is And(Var("X"), Not(Var("Y")))
+    with pytest.raises(TypeError):
+        And(Var("X"))
+
+
+def test_intern_table_does_not_grow_after_formulas_are_dropped():
+    before = len(fm._interned)
+    for i in range(3):
+        f = and_all([Or(Var(f"T{i}_{k}"), Not(Var(f"T{i}_{k + 1}"))) for k in range(2000)])
+        assert length(f) == 9999 and evaluate(f, Assignment(1, {v: Subspace.full(1) for v in free_vars(f)})).is_full()
+        del f
+        assert len(fm._interned) == before
+
+
+def test_conjuncts_of_left_and_right_chains():
+    a, b, c = Var("A"), parse("B | C"), parse("!D")
+    assert conjuncts(And(And(a, b), c)) == [a, b, c]
+    assert conjuncts(And(a, And(b, c))) == [a, b, c]
+    assert conjuncts(b) == [b] and conjuncts(And(a, a)) == [a, a]
+
+
+DEPTH = 100_000
+
+
+def _deep_formulas():
+    names = [f"V{i}" for i in range(3)]
+    left = and_all([Var(names[i % 3]) for i in range(DEPTH)])
+    right = Var("V0")
+    for i in range(1, DEPTH):
+        right = And(Var(names[i % 3]), right)
+    nots = Var("V0")
+    for _ in range(DEPTH):
+        nots = Not(nots)
+    return [left, right, nots]
+
+
+def test_formulas_of_any_depth():
+    full, zero = Subspace.full(1), Subspace.zero(1)
+    a = Assignment(1, {"V0": full, "V1": full, "V2": zero})
+    codes = {"V0": mo.atom(1), "V1": mo.atom(2), "V2": mo.atom(1)}
+    for f in _deep_formulas():
+        is_chain = type(f) is And
+        assert f is not Var("V0") and f == f and hash(f) == hash(f)
+        assert length(f) == (2 * DEPTH - 1 if is_chain else DEPTH + 1)
+        assert free_vars(f) == ({"V0", "V1", "V2"} if is_chain else {"V0"})
+        assert evaluate(f, a) == (zero if is_chain else full)
+        assert mo.evaluate(f, codes) == (mo.CODE_ZERO if is_chain else mo.atom(1))
+        assert parse(format_formula(f)) is f
+        g = substitute(f, {"V0": Var("V1")})
+        assert g is substitute(f, {"V0": Var("V1")}) and free_vars(g) == free_vars(f) - {"V0"} | {"V1"}
+        assert mo.evaluate(g, codes) == (mo.CODE_ZERO if is_chain else mo.atom(2))
+        for h in (nnf(f), leaf_negation_form(f)):
+            assert not any(type(n) is Not for n in _nodes(h))  # an even number of complements cancels
+            assert mo.evaluate(h, codes) == mo.evaluate(f, codes)
+        assert decide_2d(And(f, Not(Var("V0"))), "weak").status == "unsat"
