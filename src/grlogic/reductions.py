@@ -287,33 +287,11 @@ def exists_2d(
 # -- polynomial feasibility emission ----------------------------------------------
 
 Monomial = tuple[str, ...]  # sorted variable names, possibly "conj(...)" in unsplit mode
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, int]
+Entry = tuple[tuple[str, int], ...]  # a complex matrix entry: a sum of unknown * i**k
+Table = list[list[Entry]]
 
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, Fraction(0)) + c
-        if not out[m]:
-            del out[m]
-    return out
-
-
-def _poly_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {m: c * v for m, v in a.items()}
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, Fraction(0)) + c1 * c2
-            if not out[m]:
-                del out[m]
-    return out
+_UNIT = ((0, 1), (1, 1), (0, -1), (1, -1))  # i**k as (real or imaginary part, sign)
 
 
 def poly_degree(p: Poly) -> int:
@@ -323,7 +301,7 @@ def poly_degree(p: Poly) -> int:
 def poly_eval(p: Poly, point: dict[str, Scalar]) -> Scalar:
     total = Scalar(0)
     for mon, coeff in p.items():
-        term = Scalar(Fraction(coeff))
+        term = Scalar(coeff)
         for name in mon:
             if name.startswith("conj(") and name.endswith(")"):
                 term = term * point[name[5:-1]].conj()
@@ -335,7 +313,7 @@ def poly_eval(p: Poly, point: dict[str, Scalar]) -> Scalar:
 
 @dataclass
 class PolySystem:
-    """A multivariate polynomial system over the rationals.
+    """A multivariate polynomial system with integer coefficients.
 
     In split mode (the default) every variable is real-valued and every
     equation has total degree at most 2, so the combined form (sum of
@@ -363,100 +341,66 @@ class _Emitter:
         self.variables: list[str] = []
         self.equations: list[Poly] = []
         self.matrix_shapes: dict[str, tuple[int, int]] = {}
+        self.tables: dict[str, Table] = {}
 
     def fresh_matrix(self, rows: int, cols: int) -> str:
         name = f"M{self.counter}"
         self.counter += 1
         self.matrix_shapes[name] = (rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                if self.split:
-                    self.variables.append(f"{name}_{i}_{j}_re")
-                    self.variables.append(f"{name}_{i}_{j}_im")
-                else:
-                    self.variables.append(f"{name}_{i}_{j}")
+        self.tables[name] = [[self._entry(f"{name}_{i}_{j}") for j in range(cols)] for i in range(rows)]
         return name
 
-    # complex entry as a pair of real polys (split) or a single poly (unsplit)
-    def entry(self, name: str, i: int, j: int) -> tuple[Poly, Poly]:
+    def _entry(self, base: str) -> Entry:
         if self.split:
-            return ({(f"{name}_{i}_{j}_re",): Fraction(1)}, {(f"{name}_{i}_{j}_im",): Fraction(1)})
-        return ({(f"{name}_{i}_{j}",): Fraction(1)}, {})
+            re, im = base + "_re", base + "_im"
+            self.variables += (re, im)
+            return ((re, 0), (im, 1))
+        self.variables.append(base)
+        return ((base, 0),)
 
-    def entry_conj(self, name: str, i: int, j: int) -> tuple[Poly, Poly]:
+    def adjoint(self, name: str) -> Table:
+        """Entry table of the conjugate transpose."""
+        table = self.tables[name]
         if self.split:
-            re, im = self.entry(name, i, j)
-            return re, _poly_scale(im, Fraction(-1))
-        return ({(f"conj({name}_{i}_{j})",): Fraction(1)}, {})
+            conj = [[tuple((x, -k % 4) for x, k in e) for e in row] for row in table]
+        else:
+            conj = [[((f"conj({e[0][0]})", 0),) for e in row] for row in table]
+        return _transpose(conj)
 
-    def require_zero(self, re: Poly, im: Poly) -> None:
-        if re:
-            self.equations.append(re)
-        if im:
-            self.equations.append(im)
+    def require_zero(
+        self,
+        linear: tuple[tuple[int, Table], ...] = (),
+        products: tuple[tuple[int, Table, Table], ...] = (),
+        diag: int = 0,
+    ) -> None:
+        """Emit sum(s * A) + sum(s * A B) + diag * id = 0, entry by entry in
+        row-major order, each as its real then its imaginary part (a part
+        that is identically zero is skipped).  Every term is accumulated in
+        place, straight from the unknown names in the entry tables.  No
+        monomial arises twice, so no coefficient cancels to zero."""
+        first = (linear + products)[0]
+        rows, cols = len(first[1]), len(first[-1][0])  # rows of A, columns of A or of B
+        for i in range(rows):
+            for j in range(cols):
+                parts: tuple[Poly, Poly] = ({(): diag} if i == j and diag else {}, {})
+                for sign, a in linear:
+                    for x, kx in a[i][j]:
+                        part, s = _UNIT[kx]
+                        poly = parts[part]
+                        poly[(x,)] = poly.get((x,), 0) + sign * s
+                for sign, a, b in products:
+                    for a_ik, b_k in zip(a[i], b):
+                        for x, kx in a_ik:
+                            for y, ky in b_k[j]:
+                                part, s = _UNIT[(kx + ky) % 4]
+                                poly = parts[part]
+                                m = (x, y) if x <= y else (y, x)
+                                poly[m] = poly.get(m, 0) + sign * s
+                self.equations += [poly for poly in parts if poly]
 
 
-def _c_add(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    return _poly_add(a[0], b[0]), _poly_add(a[1], b[1])
-
-
-def _c_sub(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    return _poly_add(a[0], _poly_scale(b[0], Fraction(-1))), _poly_add(a[1], _poly_scale(b[1], Fraction(-1)))
-
-
-def _c_mul(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    re = _poly_add(_poly_mul(a[0], b[0]), _poly_scale(_poly_mul(a[1], b[1]), Fraction(-1)))
-    im = _poly_add(_poly_mul(a[0], b[1]), _poly_mul(a[1], b[0]))
-    return re, im
-
-
-class _MatrixExpr:
-    """A d x d (or d x 1) array of complex polynomial entries."""
-
-    def __init__(self, rows: int, cols: int, entries: list[list[tuple[Poly, Poly]]]):
-        self.rows, self.cols, self.entries = rows, cols, entries
-
-    @staticmethod
-    def symbol(em: _Emitter, name: str, rows: int, cols: int, conj: bool = False) -> "_MatrixExpr":
-        get = em.entry_conj if conj else em.entry
-        return _MatrixExpr(rows, cols, [[get(name, i, j) for j in range(cols)] for i in range(rows)])
-
-    @staticmethod
-    def constant(d: int, diag: Fraction) -> "_MatrixExpr":
-        return _MatrixExpr(
-            d,
-            d,
-            [
-                [({(): diag} if i == j and diag else {}, {}) for j in range(d)]
-                for i in range(d)
-            ],
-        )
-
-    def add(self, other: "_MatrixExpr") -> "_MatrixExpr":
-        return _MatrixExpr(
-            self.rows,
-            self.cols,
-            [[_c_add(self.entries[i][j], other.entries[i][j]) for j in range(self.cols)] for i in range(self.rows)],
-        )
-
-    def sub(self, other: "_MatrixExpr") -> "_MatrixExpr":
-        return _MatrixExpr(
-            self.rows,
-            self.cols,
-            [[_c_sub(self.entries[i][j], other.entries[i][j]) for j in range(self.cols)] for i in range(self.rows)],
-        )
-
-    def mul(self, other: "_MatrixExpr") -> "_MatrixExpr":
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc: tuple[Poly, Poly] = ({}, {})
-                for k in range(self.cols):
-                    acc = _c_add(acc, _c_mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return _MatrixExpr(self.rows, other.cols, out)
+def _transpose(table: Table) -> Table:
+    return [list(col) for col in zip(*table)]
 
 
 def to_polysystem(f: Formula, d: int, mode: Mode, split: bool = True) -> PolySystem:
@@ -468,34 +412,26 @@ def to_polysystem(f: Formula, d: int, mode: Mode, split: bool = True) -> PolySys
     introduce S with S^adj T = 0 and (S + T) X = id; meets are rewritten
     by de Morgan first.  Strong mode appends R X = id for the root matrix
     R; weak mode appends w = R v and u^T w = 1 (the nonzero condition as
-    a pure equation system).  All equations are quadratic; in split mode
-    (real and imaginary parts as separate real unknowns) the system is
-    over the reals and `combine_quartic` folds it into one quartic.
+    a pure equation system).  All equations are quadratic with integer
+    coefficients; in split mode (real and imaginary parts as separate real
+    unknowns) the system is over the reals and `combine_quartic` folds it
+    into one quartic.
     """
     if d < 1:
         raise ValueError("d must be positive")
     em = _Emitter(d, split)
     root, leaf_map = _emit(f, em)
+    r = em.tables[root]
     notes = []
     if mode == "strong":
         x = em.fresh_matrix(d, d)
-        xm = _MatrixExpr.symbol(em, x, d, d)
-        residual = _matrix_symbol(em, root).mul(xm).sub(_MatrixExpr.constant(d, Fraction(1)))
-        _require_matrix_zero(em, residual)
+        em.require_zero(products=((1, r, em.tables[x]),), diag=-1)
         notes.append("strong root: R X = id forces the root range to be the full space")
     else:
-        v = em.fresh_matrix(d, 1)
-        w = em.fresh_matrix(d, 1)
-        u = em.fresh_matrix(d, 1)
-        vm = _MatrixExpr.symbol(em, v, d, 1)
-        wm = _MatrixExpr.symbol(em, w, d, 1)
-        um = _MatrixExpr.symbol(em, u, d, 1)
-        _require_matrix_zero(em, wm.sub(_matrix_symbol(em, root).mul(vm)))
+        v, w, u = (em.tables[em.fresh_matrix(d, 1)] for _ in range(3))
+        em.require_zero(((1, w),), ((-1, r, v),))
         # u^T w = 1 without conjugation keeps the equation quadratic
-        acc: tuple[Poly, Poly] = ({(): Fraction(-1)}, {})
-        for i in range(d):
-            acc = _c_add(acc, _c_mul(um.entries[i][0], wm.entries[i][0]))
-        em.require_zero(acc[0], acc[1])
+        em.require_zero(products=((1, _transpose(u), w),), diag=-1)
         notes.append(
             "weak root: the nonzero condition 'exists u, v with u^T R v = 1' is emitted"
             " as w = R v plus u^T w = 1, keeping every equation quadratic"
@@ -514,17 +450,6 @@ def to_polysystem(f: Formula, d: int, mode: Mode, split: bool = True) -> PolySys
     return system
 
 
-def _matrix_symbol(em: _Emitter, name: str) -> _MatrixExpr:
-    rows, cols = em.matrix_shapes[name]
-    return _MatrixExpr.symbol(em, name, rows, cols)
-
-
-def _require_matrix_zero(em: _Emitter, expr: _MatrixExpr) -> None:
-    for i in range(expr.rows):
-        for j in range(expr.cols):
-            em.require_zero(*expr.entries[i][j])
-
-
 def _demorganize(f: Formula) -> Formula:
     """Complements pushed down (!!g collapsed to g) and meets rewritten as
     complemented joins, so only Or, Not and leaves remain."""
@@ -539,6 +464,7 @@ def _emit(f: Formula, em: _Emitter) -> tuple[str, dict[str, str]]:
     """Emit each distinct node of the de Morgan form once, in fold order."""
     leaf_map: dict[str, str] = {}
     d = em.d
+    tables = em.tables
 
     def leaf(x: Formula) -> str:
         if x.name not in leaf_map:
@@ -547,36 +473,29 @@ def _emit(f: Formula, em: _Emitter) -> tuple[str, dict[str, str]]:
 
     def constant(diag: int) -> str:
         name = em.fresh_matrix(d, d)
-        _require_matrix_zero(em, _matrix_symbol(em, name).sub(_MatrixExpr.constant(d, Fraction(diag))))
+        em.require_zero(((1, tables[name]),), diag=-diag)
         return name
 
     def join(s: str, t: str) -> str:
         r = em.fresh_matrix(d, d)
         x, y, w, z = (em.fresh_matrix(d, d) for _ in range(4))
-        sm, tm, rm = (_matrix_symbol(em, n) for n in (s, t, r))
-        xm, ym, wm, zm = (_matrix_symbol(em, n) for n in (x, y, w, z))
-        _require_matrix_zero(em, rm.sub(sm.mul(xm)).sub(tm.mul(ym)))
-        _require_matrix_zero(em, sm.sub(rm.mul(wm)))
-        _require_matrix_zero(em, tm.sub(rm.mul(zm)))
+        sm, tm, rm = tables[s], tables[t], tables[r]
+        em.require_zero(((1, rm),), ((-1, sm, tables[x]), (-1, tm, tables[y])))
+        em.require_zero(((1, sm),), ((-1, rm, tables[w]),))
+        em.require_zero(((1, tm),), ((-1, rm, tables[z]),))
         return r
 
     def neg(t: str) -> str:
         s = em.fresh_matrix(d, d)
         x = em.fresh_matrix(d, d)
-        sm, tm, xm = (_matrix_symbol(em, n) for n in (s, t, x))
-        s_adj = _MatrixExpr.symbol(em, s, d, d, conj=True)
+        sm, tm, xm = tables[s], tables[t], tables[x]
         # S^adj T = 0: the column ranges are orthogonal
-        prod = _transpose(s_adj).mul(tm)
-        _require_matrix_zero(em, prod)
-        _require_matrix_zero(em, sm.add(tm).mul(xm).sub(_MatrixExpr.constant(d, Fraction(1))))
+        em.require_zero(products=((1, em.adjoint(s), tm),))
+        em.require_zero(products=((1, sm, xm), (1, tm, xm)), diag=-1)
         return s
 
     root = fold(_demorganize(f), leaf, lambda: constant(0), lambda: constant(1), neg, _no_meet, join)
     return root, leaf_map
-
-
-def _transpose(m: _MatrixExpr) -> _MatrixExpr:
-    return _MatrixExpr(m.cols, m.rows, [[m.entries[i][j] for i in range(m.rows)] for j in range(m.cols)])
 
 
 def combine_quartic(system: PolySystem) -> PolySystem:
@@ -586,7 +505,18 @@ def combine_quartic(system: PolySystem) -> PolySystem:
         raise ValueError("combine_quartic needs a split (real) system")
     combined: Poly = {}
     for eq in system.equations:
-        combined = _poly_add(combined, _poly_mul(eq, eq))
+        terms = list(eq.items())
+        for a, (m1, c1) in enumerate(terms):
+            # the square once, and each cross term once with its factor 2
+            m = tuple(sorted(m1 + m1))
+            combined[m] = combined.get(m, 0) + c1 * c1
+            c1 *= 2
+            for m2, c2 in terms[a + 1 :]:
+                m = tuple(sorted(m1 + m2))
+                combined[m] = combined.get(m, 0) + c1 * c2
+    # cross terms of different residuals can cancel
+    for m in [m for m, c in combined.items() if not c]:
+        del combined[m]
     assert poly_degree(combined) <= 4
     return PolySystem(
         d=system.d,
@@ -603,12 +533,24 @@ def combine_quartic(system: PolySystem) -> PolySystem:
 
 
 def verify_poly_witness(system: PolySystem, point: dict[str, Fraction]) -> bool:
-    """Exact evaluation; True iff every equation vanishes at the point."""
+    """Exact rational evaluation; True iff every equation vanishes at the
+    point.  The point is real, so conj(x) takes the value of x."""
     missing = [v for v in system.variables if v not in point]
     if missing:
         raise ValueError(f"unbound variables: {missing[:4]}{'...' if len(missing) > 4 else ''}")
-    values = {name: Scalar(Fraction(x)) for name, x in point.items()}
-    return all(poly_eval(eq, values).is_zero() for eq in system.equations)
+    # integral values as ints: most products then never build a Fraction
+    values = {name: x.numerator if x.denominator == 1 else x for name, x in point.items()}
+    if not system.split:
+        values.update({f"conj({v})": values[v] for v in system.variables})
+    for eq in system.equations:
+        total = 0
+        for mon, coeff in eq.items():
+            for name in mon:
+                coeff *= values[name]
+            total += coeff
+        if total:
+            return False
+    return True
 
 
 # -- witness transfer ---------------------------------------------------------------

@@ -310,64 +310,86 @@ def parse_poly(text: str) -> PolyNode:
         else:
             tokens.append(("op", m.group("op")))
         pos = m.end()
-    out, rest = _parse_expr(tokens, 0)
-    if rest != len(tokens):
-        raise PolyParseError("trailing input in polynomial")
-    return out
+    return _parse_tokens(tokens)
 
 
-def _parse_expr(toks, i):
-    node, i = _parse_term(toks, i)
-    while i < len(toks) and toks[i] == ("op", "+") or i < len(toks) and toks[i] == ("op", "-"):
-        op = toks[i][1]
-        rhs, i = _parse_term(toks, i + 1)
-        node = PolyNode("add" if op == "+" else "sub", None, node, rhs)
-    return node, i
+_PREC = {"+": 1, "-": 1, "*": 2}
+_BINARY_KIND = {"+": "add", "-": "sub", "*": "mul"}
 
 
-def _parse_term(toks, i):
-    node, i = _parse_factor(toks, i)
-    while i < len(toks) and toks[i] == ("op", "*"):
-        rhs, i = _parse_factor(toks, i + 1)
-        node = PolyNode("mul", None, node, rhs)
-    return node, i
+def _parse_tokens(toks: list[tuple[str, str]]) -> PolyNode:
+    """Operator precedence on explicit stacks: "*" binds tighter than "+"
+    and "-", both left-associative; a unary "-" applies to one factor."""
+    operands: list[PolyNode] = []
+    ops: list[str] = []  # "(", "neg" or a binary operator
 
+    def reduce_top() -> None:
+        op = ops.pop()
+        if op == "neg":
+            operands.append(PolyNode("neg", None, operands.pop()))
+        else:
+            rhs = operands.pop()
+            operands.append(PolyNode(_BINARY_KIND[op], None, operands.pop(), rhs))
 
-def _parse_factor(toks, i):
-    if i >= len(toks):
-        raise PolyParseError("unexpected end of polynomial")
-    kind, val = toks[i]
-    if kind == "int":
-        return PolyNode("int", int(val)), i + 1
-    if kind == "op" and val == "-":
-        node, i = _parse_factor(toks, i + 1)
-        return PolyNode("neg", None, node), i
-    if kind == "op" and val == "(":
-        node, i = _parse_expr(toks, i + 1)
-        if i >= len(toks) or toks[i] != ("op", ")"):
-            raise PolyParseError("missing closing parenthesis")
-        return node, i + 1
-    if kind == "ident":
-        if val == "adj":
+    def reduce_negations() -> None:
+        while ops and ops[-1] == "neg":
+            reduce_top()
+
+    i = 0
+    while True:
+        # a factor is expected
+        if i >= len(toks):
+            raise PolyParseError("unexpected end of polynomial")
+        kind, val = toks[i]
+        if (kind, val) in (("op", "-"), ("op", "(")):
+            ops.append("neg" if val == "-" else "(")
+            i += 1
+            continue
+        if kind == "int":
+            operands.append(PolyNode("int", int(val)))
+            i += 1
+        elif kind == "ident" and val == "adj":
             if i + 3 < len(toks) and toks[i + 1] == ("op", "(") and toks[i + 2][0] == "ident" and toks[i + 3] == ("op", ")"):
-                return PolyNode("adj", toks[i + 2][1]), i + 4
-            raise PolyParseError("adj( ident ) expected")
-        return PolyNode("var", val), i + 1
-    raise PolyParseError(f"unexpected token {toks[i]!r}")
+                operands.append(PolyNode("adj", toks[i + 2][1]))
+                i += 4
+            else:
+                raise PolyParseError("adj( ident ) expected")
+        elif kind == "ident":
+            operands.append(PolyNode("var", val))
+            i += 1
+        else:
+            raise PolyParseError(f"unexpected token {toks[i]!r}")
+        reduce_negations()
+        # a binary operator, a closing parenthesis or the end is expected
+        while True:
+            tok = toks[i] if i < len(toks) else None
+            if tok is not None and tok[0] == "op" and tok[1] in _BINARY_KIND:
+                while ops and ops[-1] != "(" and _PREC[ops[-1]] >= _PREC[tok[1]]:
+                    reduce_top()
+                ops.append(tok[1])
+                i += 1
+                break
+            while ops and ops[-1] != "(":
+                reduce_top()
+            if not ops:
+                if i != len(toks):
+                    raise PolyParseError("trailing input in polynomial")
+                return operands.pop()
+            if tok != ("op", ")"):
+                raise PolyParseError("missing closing parenthesis")
+            ops.pop()
+            i += 1
+            reduce_negations()
 
 
 def poly_variables(p: PolyNode) -> list[str]:
     out: set[str] = set()
-
-    def walk(n: PolyNode) -> None:
+    stack = [p]
+    while stack:
+        n = stack.pop()
         if n.kind in ("var", "adj"):
             out.add(n.value)  # type: ignore[arg-type]
-        if n.left:
-            walk(n.left)
-        if n.right:
-            walk(n.right)
-
-    walk(p)
+        stack.extend(c for c in (n.left, n.right) if c is not None)
     return sorted(out)
 
 
@@ -375,22 +397,32 @@ def _formula_var(name: str) -> str:
     return f"X_{name}"
 
 
+_TERM_OF = {"add": add_term, "sub": sub_term, "mul": mul_term}
+
+
 def poly_term(p: PolyNode) -> Formula:
-    if p.kind == "int":
-        return int_term(p.value)  # type: ignore[arg-type]
-    if p.kind == "var":
-        return Var(_formula_var(p.value))  # type: ignore[arg-type]
-    if p.kind == "adj":
-        return adjoint_term(Var(_formula_var(p.value)))  # type: ignore[arg-type]
-    if p.kind == "neg":
-        return sub_term(Var("W0"), poly_term(p.left))  # type: ignore[arg-type]
-    if p.kind == "add":
-        return add_term(poly_term(p.left), poly_term(p.right))  # type: ignore[arg-type]
-    if p.kind == "sub":
-        return sub_term(poly_term(p.left), poly_term(p.right))  # type: ignore[arg-type]
-    if p.kind == "mul":
-        return mul_term(poly_term(p.left), poly_term(p.right))  # type: ignore[arg-type]
-    raise AssertionError(p.kind)
+    """The term of a polynomial tree, built bottom-up on an explicit stack."""
+    done: list[Formula] = []
+    stack: list[tuple[PolyNode, bool]] = [(p, False)]
+    while stack:
+        n, children_done = stack.pop()
+        if n.left is not None and not children_done:
+            stack.append((n, True))
+            stack.extend((c, False) for c in (n.right, n.left) if c is not None)
+        elif n.kind == "int":
+            done.append(int_term(n.value))  # type: ignore[arg-type]
+        elif n.kind == "var":
+            done.append(Var(_formula_var(n.value)))  # type: ignore[arg-type]
+        elif n.kind == "adj":
+            done.append(adjoint_term(Var(_formula_var(n.value))))  # type: ignore[arg-type]
+        elif n.kind == "neg":
+            done.append(sub_term(Var("W0"), done.pop()))
+        elif n.kind in _TERM_OF:
+            rhs = done.pop()
+            done.append(_TERM_OF[n.kind](done.pop(), rhs))
+        else:
+            raise AssertionError(n.kind)
+    return done.pop()
 
 
 def frame_conditions() -> Formula:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from grlogic import reductions as rd
 from grlogic import staudt
+from grlogic.formats import polysystem_to_text
 from grlogic.exactlin import Matrix, Scalar
 from grlogic.formula import Assignment, Var, and_all, evaluate, format_formula, free_vars, length, parse
 from grlogic.gadgets import floor_half_f
@@ -284,3 +286,36 @@ def test_witness_transfer_beyond_the_recursion_limit():
     system = rd.to_polysystem(f, 1, "strong")
     point = rd.witness_to_point(system, f, witness)
     assert rd.verify_poly_witness(system, point)
+
+
+def test_emitted_text_is_pinned():
+    # sha256 of polysystem_to_text, recorded from the Fraction-based emitter
+    cases = [
+        (
+            lambda: rd.to_polysystem(parse("C(X,Y)"), 3, "strong"),
+            "e8e8a6bf67d8898a8e860620c48575aa9d947254407610fa421dc578bd0ebec4",
+        ),
+        (
+            lambda: rd.combine_quartic(rd.to_polysystem(parse("C(X,Y)"), 2, "weak")),
+            "56aaab00a1f4a64e09588a543930eb794ae27df66d78f44efb6501ec20d63113",
+        ),
+        (
+            lambda: rd.to_polysystem(parse("X | !Y"), 2, "weak", split=False),
+            "a360681f34437983400f394b577446bbf7eb65066dff92ec1e022c511d768b17",
+        ),
+        (
+            lambda: rd.to_polysystem(staudt.poly_to_formula("x - 1"), 3, "strong"),
+            "743dd089a02472a83d26b0d1013dc4436fc0863533d430a7e9d3e598e6a255bf",
+        ),
+    ]
+    for build, digest in cases:
+        assert hashlib.sha256(polysystem_to_text(build()).encode()).hexdigest() == digest
+
+
+def test_combine_quartic_of_a_compiled_polynomial_is_integral():
+    # 5,850 equations; summing squares by copying the running sum per equation took about 33 s
+    combined = rd.combine_quartic(rd.to_polysystem(staudt.poly_to_formula("x - 1"), 3, "strong"))
+    assert len(combined.combined) == 257_185
+    assert rd.poly_degree(combined.combined) <= 4
+    assert all(type(c) is int for eq in combined.equations for c in eq.values())
+    assert all(type(c) is int for c in combined.combined.values())

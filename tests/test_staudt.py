@@ -146,6 +146,45 @@ def test_poly_parse_and_variables():
         staudt.parse_poly("x + ")
     with pytest.raises(staudt.PolyParseError):
         staudt.parse_poly("adj(2)")
+    for bad in ("", "(x", "x)", "x y", "(x y)", "x * )", "adj(x", "- + x"):
+        with pytest.raises(staudt.PolyParseError):
+            staudt.parse_poly(bad)
+
+
+def test_poly_parse_precedence():
+    def shape(n):
+        if n.left is None:
+            return n.value
+        return (n.kind, shape(n.left)) + ((shape(n.right),) if n.right else ())
+
+    node = staudt.parse_poly("-x*y - 2 - (3 + -adj(z))")
+    assert shape(node) == ("sub", ("sub", ("mul", ("neg", "x"), "y"), 2), ("add", 3, ("neg", "z")))
+
+
+def _chain(node, kind):
+    """Follow left children while they have the given kind: (length, end node)."""
+    n = 0
+    while node.kind == kind:
+        node, n = node.left, n + 1
+    return n, node
+
+
+def test_poly_parse_deeper_than_the_recursion_limit():
+    assert staudt.parse_poly("(" * 1200 + "x" + ")" * 1200) == staudt.PolyNode("var", "x")
+    depth, end = _chain(staudt.parse_poly("-" * 1200 + "x"), "neg")
+    assert (depth, end) == (1200, staudt.PolyNode("var", "x"))
+
+
+def test_poly_to_formula_of_a_long_sum():
+    text = " + ".join(["x"] * 1500)
+    node = staudt.parse_poly(text)
+    depth, end = _chain(node, "add")
+    assert (depth, end) == (1499, staudt.PolyNode("var", "x"))
+    assert staudt.poly_variables(node) == ["x"]
+    g = staudt.poly_to_formula(text)
+    for value, is_root in ((0, True), (1, False)):
+        witness = staudt.assemble_poly_witness(text, {"x": Matrix(1, 1, [Scalar(value)])}, 1)
+        assert evaluate(g, witness).is_full() == is_root
 
 
 def test_poly_to_formula_witness_direction():
