@@ -140,8 +140,12 @@ def polysystem_to_obj(system: PolySystem) -> dict[str, Any]:
 
 
 def polysystem_from_obj(obj: dict[str, Any]) -> PolySystem:
+    def coeff(text: str):
+        q = Fraction(text)
+        return q.numerator if q.denominator == 1 else q
+
     def poly_from(rows):
-        return {tuple(mon): Fraction(c) for mon, c in rows}
+        return {tuple(mon): coeff(c) for mon, c in rows}
 
     return PolySystem(
         d=int(obj["d"]),

@@ -15,17 +15,21 @@ Two distinct generic elements always meet in 0 and join to 1, in every
 combination with complements.  The same coding doubles as plain Boolean
 algebra when only codes 0 and 1 appear.
 
-Scalar and numpy-vectorized versions of the connectives are provided;
-the vectorized ones drive exhaustive satisfiability enumeration.
+Scalar and numpy-vectorized versions of the connectives are provided.
+The scalar ones drive the plane search; the vectorized ones evaluate
+the full Boolean grid of `decide_boolean` and import numpy on first use.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from . import formula as fm
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    ArrayLike = Union[int, np.ndarray]
 
 CODE_ZERO = 0
 CODE_ONE = 1
@@ -73,20 +77,23 @@ def evaluate(f: fm.Formula, env: Mapping[str, int]) -> int:
     return fm.fold(f, lambda x: env[x.name], lambda: CODE_ZERO, lambda: CODE_ONE, neg, meet, join)
 
 
-ArrayLike = Union[int, np.ndarray]
-
-
 def vneg(a: ArrayLike) -> ArrayLike:
+    import numpy as np
+
     a = np.asarray(a)
     return np.where(a <= 1, 1 - a, a ^ 1)
 
 
 def vmeet(a: ArrayLike, b: ArrayLike) -> ArrayLike:
+    import numpy as np
+
     a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
     return np.where(a == 1, b, np.where(b == 1, a, np.where(a == b, a, 0)))
 
 
 def vjoin(a: ArrayLike, b: ArrayLike) -> ArrayLike:
+    import numpy as np
+
     a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
     return np.where(a == 0, b, np.where(b == 0, a, np.where(a == b, a, 1)))
 
@@ -97,6 +104,7 @@ def evaluate_grid(f: fm.Formula, var_axes: Mapping[str, int], n_axes: int, codes
     var_axes maps each free name to its axis; the result broadcasts to
     shape (len(codes),) * n_axes.
     """
+    import numpy as np
 
     def leaf(x: fm.Formula) -> np.ndarray:
         shape = [1] * n_axes

@@ -5,9 +5,9 @@ Complete deciders exist exactly where the underlying theory gives them:
 * `decide_boolean` - dimension 1, and strong satisfiability over the
   union of all co-/finite dimensional subspaces of sequence space,
   both of which collapse to Boolean satisfiability;
-* `decide_2d` - any formula over the plane, by exhausting the complete
-  candidate pool {0, 1, V_1, !V_1, ..., V_n, !V_n} built from a
-  pairwise generic family;
+* `decide_2d` - any formula over the plane, by a backtracking search of
+  the complete candidate pool {0, 1, V_1, !V_1, ..., V_n, !V_n} built
+  from a pairwise generic family, one assignment per symmetry orbit;
 * `decide_cnf` - conjunctive-form formulas in any dimension d >= 2.
 
 Everything else (`search`) is explicitly incomplete and only ever
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Sequence
-
-import numpy as np
+from operator import itemgetter, not_
+from typing import Callable, Literal, Optional, Sequence, TypeVar
 
 from . import mo
 from .exactlin import Scalar
@@ -46,8 +45,8 @@ from .generic import fresh_plane_lines, moment_line, moment_span, pairwise_gener
 from .lattice import Subspace, embed, graph_subspace
 
 Mode = Literal["strong", "weak"]
+T = TypeVar("T")
 
-_VECTOR_LIMIT = 6_000_000  # largest full assignment grid evaluated via numpy
 _BACKTRACK_VAR_LIMIT = 8
 
 
@@ -165,9 +164,16 @@ def decide_boolean(f: Formula) -> SatVerdict:
     n = len(names)
     if n > _BOOLEAN_VAR_CAP:
         raise ValueError(f"{n} variables exceeds the Boolean cap {_BOOLEAN_VAR_CAP}")
-    digits = _decide_2d_vectorized(f, "strong", names, 2)  # codes 0 and 1 only: Boolean values
-    if digits is None:
+    # The full grid of codes 0 and 1 (Boolean values), evaluated by numpy:
+    # with nothing to prune, as in a one-conjunct formula, it beats the
+    # backtracking engine by orders of magnitude.
+    import numpy as np
+
+    hits = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, np.arange(2, dtype=np.int16)) == 1
+    hits = np.broadcast_to(hits, (2,) * n)
+    if not hits.any():
         return SatVerdict("unsat", None, "boolean: exhaustive over {0,1}^n")
+    digits = np.unravel_index(int(np.argmax(hits.ravel())), (2,) * n)
     bindings = {v: (Subspace.full(1) if digit else Subspace.zero(1)) for v, digit in zip(names, digits)}
     witness = Assignment(1, bindings)
     assert verify(f, witness, "strong")
@@ -195,138 +201,50 @@ def decide_2d(
 ) -> SatVerdict:
     """Complete decision over the plane.
 
-    Constant-free formulas are decided symbolically: values over a
-    pairwise generic family land in a finite ortholattice, so the
-    complete pool {0, 1, V_1, !V_1, ..., V_n, !V_n} is enumerated on
-    integer codes (vectorized when the grid fits, backtracking
-    otherwise).  With named constants bound to plane subspaces, the pool
-    is extended by the constants and their complements and enumeration
-    runs on exact subspaces.
+    Values over a pairwise generic family of lines land in a finite
+    ortholattice, so the complete pool {0, 1, V_1, !V_1, ..., V_n, !V_n}
+    is searched on `mo` codes.  Named constants bound to plane subspaces
+    become codes too: 0, 1, or a line pair shared by equal and by
+    perpendicular constants, and the n fresh lines avoid them.  Only
+    exact re-verification of a witness evaluates subspaces.
     """
     consts = const_names(f)
-    if consts:
-        if not constants or not consts.issubset(constants):
-            raise ValueError(f"unbound constants: {sorted(consts - set(constants or {}))}")
-        return _decide_2d_concrete(f, mode, {c: constants[c] for c in sorted(consts)})
+    if consts and (not constants or not consts.issubset(constants)):
+        raise ValueError(f"unbound constants: {sorted(consts - set(constants or {}))}")
+    bound = {c: constants[c] for c in sorted(consts)} if consts else {}
+    env: dict[str, int] = {}
+    lines: list[Subspace] = []
+    for name, sub in bound.items():
+        if sub.ambient != 2:
+            raise ValueError(f"constant {name!r} is not a plane subspace")
+        if sub.is_zero() or sub.is_full():
+            env[name] = mo.CODE_ONE if sub.is_full() else mo.CODE_ZERO
+            continue
+        perp = sub.complement()
+        k = next((k for k, line in enumerate(lines) if line in (sub, perp)), len(lines))
+        if k == len(lines):
+            lines.append(sub)
+        env[name] = mo.atom(k + 1) if lines[k] == sub else mo.co_atom(k + 1)
     names = sorted(free_vars(f))
     n = len(names)
-    if n == 0:
-        code = mo.evaluate(f, {})
-        ok = code == 1 if mode == "strong" else code != 0
-        witness = Assignment(2, {})
-        if ok:
-            assert verify(f, witness, mode)
-            return SatVerdict("sat", witness, "2d: closed formula")
-        return SatVerdict("unsat", None, "2d: closed formula")
-    pool_size = 2 * n + 2
-    if n > _BACKTRACK_VAR_LIMIT and not allow_large:
+    pool_size = 2 * (len(lines) + n) + 2
+    if not bound and n > _BACKTRACK_VAR_LIMIT and not allow_large:
         raise ValueError(f"{n} variables: pass allow_large=True to enumerate {pool_size}**{n} assignments")
-    lines = pairwise_generic(2, n).members
-    cert = f"2d: complete pool enumeration ({pool_size}^{n} assignments)"
-    if pool_size**n <= _VECTOR_LIMIT:
-        digits = _decide_2d_vectorized(f, mode, names, pool_size)
+    if bound:
+        cert = f"2d: complete pool enumeration with constants ({pool_size}^{n} assignments)"
     else:
-        digits = _decide_2d_backtracking(f, mode, names, pool_size)
+        cert = f"2d: complete pool enumeration ({pool_size}^{n} assignments)" if n else "2d: closed formula"
+    used = len(lines)
+    lines += fresh_plane_lines(n, lines)
+    digits = _backtrack(f, mode, names, range(pool_size), env, mo.evaluate, mo.CODE_ONE, mo.meet, not_, used=used)
     if digits is None:
         return SatVerdict("unsat", None, cert)
-    bindings = {v: _pool_subspace(code, lines) for v, code in zip(names, digits)}
+    bindings = dict(bound)
+    bindings.update((v, _pool_subspace(code, lines)) for v, code in zip(names, digits))
     witness = Assignment(2, bindings)
     if not verify(f, witness, mode):
         raise AssertionError("2d witness failed exact re-verification")
     return SatVerdict("sat", witness, cert)
-
-
-def _decide_2d_vectorized(f: Formula, mode: Mode, names: list[str], pool_size: int) -> Optional[tuple[int, ...]]:
-    """First point of the full code grid (numpy) where f satisfies the mode, or None."""
-    n = len(names)
-    codes = np.arange(pool_size, dtype=np.int16)
-    acc = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, codes)
-    acc = np.broadcast_to(acc, (pool_size,) * n)
-    hits = acc == 1 if mode == "strong" else acc != 0
-    if not hits.any():
-        return None
-    flat = int(np.argmax(hits.ravel()))
-    digits = np.unravel_index(flat, (pool_size,) * n)
-    return tuple(int(x) for x in digits)
-
-
-def _decide_2d_backtracking(f: Formula, mode: Mode, names: list[str], pool_size: int) -> Optional[tuple[int, ...]]:
-    parts = conjuncts(f)
-    con_vars = [sorted(free_vars(c)) for c in parts]
-    order = {v: i for i, v in enumerate(names)}
-    # a conjunct becomes checkable once its last variable is assigned
-    ready: dict[int, list[int]] = {i: [] for i in range(len(names))}
-    for ci, cv in enumerate(con_vars):
-        if cv:
-            ready[max(order[v] for v in cv)].append(ci)
-    closed = [ci for ci, cv in enumerate(con_vars) if not cv]
-    memo: list[dict[tuple[int, ...], int]] = [dict() for _ in parts]
-    env: dict[str, int] = {}
-
-    def conjunct_value(ci: int) -> int:
-        key = tuple(env[v] for v in con_vars[ci])
-        table = memo[ci]
-        if key not in table:
-            table[key] = mo.evaluate(parts[ci], env)
-        return table[key]
-
-    for ci in closed:
-        val = mo.evaluate(parts[ci], {})
-        if (mode == "strong" and val != 1) or (mode == "weak" and val == 0):
-            return None
-
-    digits = [0] * len(names)
-
-    def descend(depth: int) -> Optional[tuple[int, ...]]:
-        if depth == len(names):
-            if mode == "weak":
-                acc = 1
-                for ci in range(len(parts)):
-                    acc = mo.meet(acc, conjunct_value(ci))
-                    if acc == 0:
-                        return None
-            return tuple(digits)
-        for code in range(pool_size):
-            env[names[depth]] = code
-            digits[depth] = code
-            ok = True
-            for ci in ready[depth]:
-                val = conjunct_value(ci)
-                if mode == "strong":
-                    if val != 1:
-                        ok = False
-                        break
-                else:
-                    if val == 0:
-                        ok = False
-                        break
-            if ok:
-                result = descend(depth + 1)
-                if result is not None:
-                    return result
-        env.pop(names[depth], None)
-        return None
-
-    return descend(0)
-
-
-def _decide_2d_concrete(f: Formula, mode: Mode, constants: dict[str, Subspace]) -> SatVerdict:
-    for name, sub in constants.items():
-        if sub.ambient != 2:
-            raise ValueError(f"constant {name!r} is not a plane subspace")
-    names = sorted(free_vars(f))
-    n = len(names)
-    pool: list[Subspace] = [Subspace.zero(2), Subspace.full(2)]
-    for name in sorted(constants):
-        pool.append(constants[name])
-        pool.append(constants[name].complement())
-    pool.extend(fresh_plane_lines(n, pool))
-    target = pool_search(f, mode, names, pool, Assignment(2, dict(constants)), None)
-    cert = f"2d: complete pool enumeration with constants ({len(pool)}^{n} assignments)"
-    if target is None:
-        return SatVerdict("unsat", None, cert)
-    assert verify(f, target, mode)
-    return SatVerdict("sat", target, cert)
 
 
 def pool_search(
@@ -339,79 +257,106 @@ def pool_search(
 ) -> Optional[Assignment]:
     """First assignment (in lexicographic pool order) satisfying f, or None.
 
-    Conjuncts of the root conjunction are checked as soon as their
-    variables are assigned, with per-conjunct memo tables on pool
-    indices.  `limit` caps the number of full assignments inspected;
-    None means exhaustive.
+    The plane engine run on exact subspaces: every name ranges over the
+    whole pool, and `limit` caps the number of full assignments inspected
+    (None means exhaustive).
     """
     ambient = base.ambient
-    full = Subspace.full(ambient)
-    parts = conjuncts(f)
-    con_vars = [sorted(free_vars(c)) for c in parts]
-    order = {v: i for i, v in enumerate(names)}
-    ready: dict[int, list[int]] = {i: [] for i in range(len(names))}
-    closed: list[int] = []
-    for ci, cv in enumerate(con_vars):
-        if cv:
-            ready[max(order[v] for v in cv)].append(ci)
-        else:
-            closed.append(ci)
-    memo: list[dict[tuple[int, ...], Subspace]] = [dict() for _ in parts]
-    digits: dict[str, int] = {}
     env = dict(base.bindings)
 
-    def conjunct_value(ci: int) -> Subspace:
-        key = tuple(digits[v] for v in con_vars[ci])
-        table = memo[ci]
-        if key not in table:
-            table[key] = evaluate(parts[ci], Assignment(ambient, env))
-        return table[key]
+    def value(part: Formula, bindings: dict[str, Subspace]) -> Subspace:
+        return evaluate(part, Assignment(ambient, bindings))
 
-    for ci in closed:
-        val = evaluate(parts[ci], Assignment(ambient, env))
-        if (mode == "strong" and val != full) or (mode == "weak" and val.is_zero()):
+    full = Subspace.full(ambient)
+    digits = _backtrack(f, mode, names, pool, env, value, full, Subspace.meet, Subspace.is_zero, limit=limit)
+    if digits is None:
+        return None
+    bindings = dict(base.bindings)
+    bindings.update((v, pool[i]) for v, i in zip(names, digits))
+    return Assignment(ambient, bindings)
+
+
+def _backtrack(
+    f: Formula,
+    mode: Mode,
+    names: Sequence[str],
+    candidates: Sequence[T],
+    env: dict[str, T],
+    value: Callable[[Formula, dict[str, T]], T],
+    one: T,
+    meet: Callable[[T, T], T],
+    is_zero: Callable[[T], bool],
+    used: Optional[int] = None,
+    limit: Optional[int] = None,
+) -> Optional[tuple[int, ...]]:
+    """The plane search engine: the first tuple of candidate indices, in
+    lexicographic order, at which f satisfies the mode, or None.
+
+    `env` holds the fixed bindings and receives each candidate in turn.
+    A conjunct of the root meet is checked once its last name is bound,
+    through a memo table on the candidate indices of its names; in weak
+    mode the running meet of the checked conjuncts must stay nonzero.
+
+    With `used` given, the candidates are `mo` codes and `used` lines are
+    already taken by constants.  Permuting the free lines and swapping a
+    line with its complement are automorphisms of the code lattice, so a
+    name only takes 0, 1, a line in use or its complement, or the next
+    free line with positive polarity: one representative per orbit.  That
+    representative is the orbit's lexicographic minimum, so the first
+    witness is the same as over the whole grid.  `limit` caps the number
+    of full assignments inspected.
+    """
+    strong = mode == "strong"
+    order = {v: i for i, v in enumerate(names)}
+    ready: list[list[tuple[Formula, Callable, dict]]] = [[] for _ in names]
+    acc = one
+    for part in conjuncts(f):
+        idx = sorted(order[v] for v in free_vars(part) | const_names(part) if v in order)
+        if idx:
+            ready[idx[-1]].append((part, itemgetter(*idx), {}))
+            continue
+        val = value(part, env)
+        if (val != one) if strong else is_zero(val):
             return None
-
+        acc = meet(acc, val)
+    if not strong and is_zero(acc):
+        return None
+    if not names:
+        return ()
+    digits = [0] * len(names)
+    last = len(names) - 1
     count = 0
 
-    def descend(depth: int) -> Optional[Assignment]:
+    def descend(depth: int, acc: T, used: Optional[int]) -> Optional[tuple[int, ...]]:
         nonlocal count
-        if depth == len(names):
-            count += 1
-            value = full
-            for ci in range(len(parts)):
-                value = value.meet(conjunct_value(ci))
-                if value.is_zero():
-                    break
-            ok = value == full if mode == "strong" else not value.is_zero()
-            if ok:
-                return Assignment(ambient, dict(env))
-            return None
-        for idx, candidate in enumerate(pool):
+        name, checks = names[depth], ready[depth]
+        width = len(candidates) if used is None else min(2 * used + 3, len(candidates))
+        for i in range(width):
             if limit is not None and count >= limit:
                 return None
-            env[names[depth]] = candidate
-            digits[names[depth]] = idx
-            ok = True
-            for ci in ready[depth]:
-                val = conjunct_value(ci)
-                if mode == "strong":
-                    if val != full:
-                        ok = False
-                        break
-                else:
-                    if val.is_zero():
-                        ok = False
-                        break
-            if ok:
-                result = descend(depth + 1)
-                if result is not None:
-                    return result
-        env.pop(names[depth], None)
-        digits.pop(names[depth], None)
+            env[name] = candidates[i]
+            digits[depth] = i
+            running = acc
+            for part, key, memo in checks:
+                k = key(digits)
+                val = memo.get(k)
+                if val is None:
+                    val = memo[k] = value(part, env)
+                if (val != one) if strong else is_zero(val):
+                    break
+                if not strong:
+                    running = meet(running, val)
+            else:
+                count += depth == last
+                if strong or not is_zero(running):
+                    if depth == last:
+                        return tuple(digits)
+                    found = descend(depth + 1, running, used if used is None or i != 2 * used + 2 else used + 1)
+                    if found is not None:
+                        return found
         return None
 
-    return descend(0)
+    return descend(0, acc, used)
 
 
 # -- conjunctive-form decider ----------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from grlogic import formats
 from grlogic.cli import main
@@ -168,3 +172,12 @@ def test_verdict_witness_file_reverifies(tmp_path, capsys):
     from grlogic.solve import verify
 
     assert verify(parse("eq(X, Y)"), witness, "strong")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy serves only the Boolean grid of decide_boolean, imported there
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, grlogic.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -64,6 +64,13 @@ def test_polysystem_roundtrip_and_text():
     assert any(line.startswith("combined ") for line in text.splitlines())
 
 
+def test_polysystem_roundtrip_keeps_integer_coefficients():
+    system = to_polysystem(parse("X"), 1, "strong")
+    back = formats.polysystem_from_obj(json.loads(json.dumps(formats.polysystem_to_obj(system))))
+    assert back.equations == system.equations
+    assert all(type(c) is int for eq in back.equations for c in eq.values())
+
+
 def test_emission_is_deterministic():
     s1 = formats.dumps(formats.subspace_to_obj(Subspace.span([1, Fraction(2, 3)])))
     s2 = formats.dumps(formats.subspace_to_obj(Subspace.span([1, Fraction(2, 3)])))

@@ -1,12 +1,16 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from grlogic.formula import Assignment, evaluate, free_vars, length, parse
-from grlogic.gadgets import big_psi, big_psi_witness, floor_half_f
-from grlogic.generic import pairwise_generic
+from grlogic import formats, mo
+from grlogic.exactlin import Scalar
+from grlogic.formula import Assignment, NamedConst, const_names, evaluate, free_vars, length, parse, substitute
+from grlogic.gadgets import big_psi, big_psi_witness, floor_half_f, fneq2d, generic_f, ndist_psi
+from grlogic.generic import fresh_plane_lines, pairwise_generic
 from grlogic.lattice import Subspace
+from grlogic.reductions import bool_to_q2d
 from grlogic.solve import (
     CnfFormula,
     PoolConfig,
@@ -86,20 +90,136 @@ def test_decide_2d_weak_vs_strong():
     assert decide_2d(f, "strong").status == "unsat"
 
 
-def test_decide_2d_vectorized_and_backtracking_agree():
-    from grlogic.solve import _decide_2d_backtracking, _decide_2d_vectorized
+def _code_subspace(code, lines):
+    if code < 2:
+        return Subspace.full(2) if code else Subspace.zero(2)
+    line = lines[(code - 2) // 2]
+    return line.complement() if code % 2 else line
 
+
+def test_decide_2d_matches_full_enumeration():
+    # the orbit-representative search reports the first point of the whole
+    # code grid {0, 1, V_1, !V_1, ..., V_n, !V_n}^n, in both modes
     rng = random.Random(72)
-    for _ in range(40):
-        f = random_formula(rng, ["X", "Y", "Z"], rng.randint(1, 9))
+    for _ in range(60):
+        f = random_formula(rng, ["W", "X", "Y", "Z"][: rng.randint(2, 4)], rng.randint(3, 14))
         names = sorted(free_vars(f))
-        if not names:
-            continue
-        pool = 2 * len(names) + 2
+        lines = pairwise_generic(2, len(names)).members if names else ()
         for mode in ("strong", "weak"):
-            a = _decide_2d_vectorized(f, mode, names, pool)
-            b = _decide_2d_backtracking(f, mode, names, pool)
-            assert a == b, (f, mode)
+            first = None
+            for codes in product(range(2 * len(names) + 2), repeat=len(names)):
+                value = mo.evaluate(f, dict(zip(names, codes)))
+                if (value == 1) if mode == "strong" else (value != 0):
+                    first = codes
+                    break
+            verdict = decide_2d(f, mode)
+            if first is None:
+                assert verdict.status == "unsat", (f, mode)
+            else:
+                assert verdict.status == "sat", (f, mode)
+                expected = {v: _code_subspace(c, lines) for v, c in zip(names, first)}
+                assert verdict.witness.bindings == expected, (f, mode)
+
+
+def _plane_brute_force(f, mode, constants):
+    """Exact enumeration over {0, 1, constants and complements, fresh lines and complements}."""
+    names = sorted(free_vars(f))
+    pool = [Subspace.zero(2), Subspace.full(2)]
+    for sub in constants.values():
+        pool += [sub, sub.complement()]
+    for line in fresh_plane_lines(len(names), constants.values()):
+        pool += [line, line.complement()]
+    for subs in product(pool, repeat=len(names)):
+        if verify(f, Assignment(2, {**constants, **dict(zip(names, subs))}), mode):
+            return True
+    return False
+
+
+def test_decide_2d_constants_match_exact_brute_force():
+    rng = random.Random(81)
+    line, other = Subspace.span([1, 0]), Subspace.span([1, 2])
+    tilted = Subspace.from_rows(2, [[1, Scalar(0, 1)]])
+    choices = [
+        {"C": line},
+        {"C": tilted},
+        {"C": Subspace.zero(2)},
+        {"C": Subspace.full(2)},
+        {"C": line, "D": line.complement()},  # perpendicular constants share a pair
+        {"C": line, "D": line},
+        {"C": line, "D": other},
+    ]
+    for _ in range(60):
+        constants = rng.choice(choices)
+        f = random_formula(rng, ["X", "Y"] + list(constants), rng.randint(2, 9))
+        f = substitute(f, {c: NamedConst(c) for c in constants})
+        used = {c: constants[c] for c in const_names(f)}
+        for mode in ("strong", "weak"):
+            verdict = decide_2d(f, mode, constants)
+            assert (verdict.status == "sat") == _plane_brute_force(f, mode, used), (f, mode)
+            if verdict.status == "sat":
+                assert verify(f, verdict.witness, mode)
+
+
+def test_decide_2d_constants_fresh_line_complements():
+    # X = span(1,1), Y = span(1,-1) is a witness: the search needs the
+    # complement of a fresh line
+    text = (
+        "(X | C) & !(X & C) & (Y | C) & !(Y & C) & ((X & Y) | (X & !Y) | (!X & Y) | (!X & !Y))"
+        " & (X | Y) & (!X | !Y)"
+    )
+    f = parse(text, constants={"C"})
+    constants = {"C": Subspace.span([1, 0])}
+    assert verify(f, Assignment(2, {**constants, "X": Subspace.span([1, 1]), "Y": Subspace.span([1, -1])}), "strong")
+    for mode in ("strong", "weak"):
+        verdict = decide_2d(f, mode, constants)
+        assert verdict.status == "sat"
+        assert verify(f, verdict.witness, mode)
+
+
+def _pinned_decisions():
+    """A fixed, seeded set of constant-free plane decisions, each in both modes."""
+    formulas = [generic_f(2, n) for n in (3, 4, 5, 6)]
+    formulas += [big_psi(2), big_psi(3), ndist_psi(2), ndist_psi(3), ndist_psi(4), fneq2d()]
+    rng = random.Random(701)
+    for n in (4, 5, 6, 7):
+        for clauses_per_var in (3, 7):  # below and above the 3-SAT threshold
+            clauses = [
+                [(f"x{v}", rng.random() < 0.5) for v in rng.sample(range(n), 3)] for _ in range(clauses_per_var * n)
+            ]
+            formulas.append(bool_to_q2d(CnfFormula.of(clauses)))
+    for _ in range(80):
+        names = ["V", "W", "X", "Y", "Z"][: rng.randint(1, 5)]
+        formulas.append(random_formula(rng, names, rng.randint(1, 12)))
+    return [(f, mode) for f in formulas for mode in ("strong", "weak")]
+
+
+def test_decide_2d_verdicts_are_pinned():
+    # sha256 of the serialised verdicts (status, certificate, first witness),
+    # computed with the full-grid and plain backtracking searches this engine
+    # replaced: 161 Sat, 35 Unsat
+    digest = hashlib.sha256()
+    for f, mode in _pinned_decisions():
+        digest.update(formats.dumps(formats.verdict_to_obj(decide_2d(f, mode))).encode())
+    assert digest.hexdigest() == "e23d7b5e5fa4d8fefc3e6f9db57c931f7ab765ca96f472355c8713d61c14e218"
+
+
+def test_decide_2d_weak_prunes_on_the_running_meet():
+    # each needs weak mode to prune on the running meet of the conjuncts;
+    # checked only at full assignments, each takes many seconds
+    assert decide_2d(ndist_psi(4), "weak").status == "unsat"
+    verdict = decide_2d(generic_f(2, 6), "weak")
+    assert verdict.status == "sat" and verify(generic_f(2, 6), verdict.witness, "weak")
+    rng = random.Random(83)
+    while True:
+        clauses = [[(f"x{v}", rng.random() < 0.5) for v in rng.sample(range(7), 3)] for _ in range(42)]
+        models = (
+            bits
+            for bits in product((False, True), repeat=7)
+            if all(any(bits[int(v[1:])] == pos for v, pos in clause) for clause in clauses)
+        )
+        if len({v for clause in clauses for v, _ in clause}) == 7 and next(models, None) is None:
+            break
+    assert decide_2d(bool_to_q2d(CnfFormula.of(clauses)), "weak").status == "unsat"
 
 
 def test_decide_2d_pool_invariance():
@@ -276,6 +396,12 @@ def test_search_never_refutes():
     assert search(parse("X & !X"), 3, "weak").status == "unknown"
 
 
+def test_search_binds_named_constants_from_the_pool():
+    f = parse("X & !K", constants={"K"})
+    verdict = search(f, 2, "weak")
+    assert verdict.status == "sat" and verify(f, verdict.witness, "weak")
+
+
 def test_search_seeded_pool():
     w = big_psi_witness(2, 4)
     cfg = PoolConfig(seeds=tuple(w.bindings.values()))
@@ -367,7 +493,6 @@ def test_search_never_contradicts_complete_deciders():
 
 
 def test_certificates_and_witness_serialization():
-    from grlogic import formats
     import json
 
     cases = [
