@@ -33,6 +33,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large ({exc!r})", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

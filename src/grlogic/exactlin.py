@@ -127,11 +127,9 @@ class Scalar:
 
     def __str__(self) -> str:
         if not self.im:
-            return _frac_str(self.re)
-        re_s = _frac_str(self.re)
-        im_s = _frac_str(self.im)
+            return str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{re_s}{sign}{_frac_str(abs(self.im))}*i"
+        return f"{self.re!s}{sign}{abs(self.im)!s}*i"
 
 
 _NUM_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -146,10 +144,6 @@ def _imag_value(part: str) -> Fraction:
     if part == "-":
         return Fraction(-1)
     return Fraction(part)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 ZERO = Scalar(0)
@@ -168,15 +162,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = tuple(Scalar.coerce(e) for e in entries)
-
-    @staticmethod
-    def _trusted(rows: int, cols: int, entries: tuple) -> "Matrix":
-        """Internal constructor skipping coercion; entries must be Scalars."""
-        m = object.__new__(Matrix)
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
-        return m
 
     # -- constructors ------------------------------------------------------
 

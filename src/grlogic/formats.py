@@ -20,14 +20,10 @@ from .solve import SatVerdict
 FORMAT_VERSION = 1
 
 
-def scalar_to_str(x: Scalar) -> str:
-    return str(x)
-
-
 def subspace_to_obj(s: Subspace) -> dict[str, Any]:
     return {
         "ambient": s.ambient,
-        "basis": [[scalar_to_str(x) for x in s.basis.row(i)] for i in range(s.dim)],
+        "basis": [[str(x) for x in s.basis.row(i)] for i in range(s.dim)],
     }
 
 
@@ -77,7 +73,7 @@ def pluecker_to_obj(v) -> dict[str, Any]:
         "version": FORMAT_VERSION,
         "ambient": v.ambient,
         "grade": v.grade,
-        "coords": [[list(idx), scalar_to_str(val)] for idx, val in v.coords],
+        "coords": [[list(idx), str(val)] for idx, val in v.coords],
     }
 
 
@@ -86,10 +82,6 @@ def pluecker_from_obj(obj: dict[str, Any]):
 
     coords = tuple((tuple(int(i) for i in idx), Scalar.parse(val)) for idx, val in obj["coords"])
     return PlueckerVector(int(obj["ambient"]), int(obj["grade"]), coords)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def polysystem_to_text(system: PolySystem) -> str:
@@ -114,13 +106,13 @@ def _poly_text(poly: dict[tuple[str, ...], Fraction]) -> str:
     for mon in sorted(poly):
         coeff = poly[mon]
         mon_text = "*".join(mon) if mon else "1"
-        terms.append(f"{_frac_str(coeff)} {mon_text}")
+        terms.append(f"{coeff!s} {mon_text}")
     return " + ".join(terms)
 
 
 def polysystem_to_obj(system: PolySystem) -> dict[str, Any]:
     def poly_obj(p):
-        return [[list(mon), _frac_str(c)] for mon, c in sorted(p.items())]
+        return [[list(mon), str(c)] for mon, c in sorted(p.items())]
 
     out: dict[str, Any] = {
         "format": "grlogic/polysystem",

@@ -126,6 +126,30 @@ def or_all(parts: list[Formula]) -> Formula:
     return acc
 
 
+# The grammar's macros, each defined once; `gadgets` re-exports them.
+
+
+def commutator_f(x: Formula, y: Formula) -> Formula:
+    """C(x, y) = (x^y) v (x^!y) v (!x^y) v (!x^!y); equal to 1 exactly when x, y commute."""
+    nx, ny = Not(x), Not(y)
+    return Or(Or(Or(And(x, y), And(x, ny)), And(nx, y)), And(nx, ny))
+
+
+def eq_f(x: Formula, y: Formula) -> Formula:
+    """eq(x, y) = (x^y) v (!x^!y); equal to 1 exactly when x = y."""
+    return Or(And(x, y), And(Not(x), Not(y)))
+
+
+def leq_f(x: Formula, y: Formula) -> Formula:
+    """leq(x, y) = eq(x, x^y); equal to 1 exactly when x <= y."""
+    return eq_f(x, And(x, y))
+
+
+def proj_f(x: Formula, z: Formula) -> Formula:
+    """proj(x, z) = z ^ (x v !z), the projection of x onto z."""
+    return And(z, Or(x, Not(z)))
+
+
 # -- the fold ------------------------------------------------------------------
 
 _LEAF, _ZERO, _ONE, _NEG, _MEET, _JOIN = range(6)
@@ -392,7 +416,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_MACROS = ("C", "proj", "eq", "leq")
+_MACROS = {"C": commutator_f, "proj": proj_f, "eq": eq_f, "leq": leq_f}
 
 
 class _Parser:
@@ -472,23 +496,8 @@ class _Parser:
                     break
                 self.expect(")")
                 if closer != ")":
-                    value = _expand_macro(closer, first, value)
+                    value = _MACROS[closer](first, value)
                 frame = frames.pop()
-
-
-def _expand_macro(name: str, a: Formula, b: Formula) -> Formula:
-    if name == "C":
-        na, nb = Not(a), Not(b)
-        return Or(Or(Or(And(a, b), And(a, nb)), And(na, b)), And(na, nb))
-    if name == "proj":
-        # projection of a onto b
-        return And(b, Or(a, Not(b)))
-    if name == "eq":
-        return Or(And(a, b), And(Not(a), Not(b)))
-    if name == "leq":
-        ab = And(a, b)
-        return Or(And(a, ab), And(Not(a), Not(ab)))
-    raise AssertionError(name)
 
 
 def parse(text: str, constants: "Iterable[str]" = ()) -> Formula:
@@ -500,15 +509,10 @@ def parse(text: str, constants: "Iterable[str]" = ()) -> Formula:
 
 
 def _match_commutator(f: Formula) -> Optional[tuple[Formula, Formula]]:
-    # shape: ((a&b | a&!b) | !a&b) | !a&!b, with f an Or
-    if type(f.left) is not Or or type(f.left.left) is not Or:
-        return None
-    t1, t2, t3, t4 = f.left.left.left, f.left.left.right, f.left.right, f.right
-    if not all(type(t) is And for t in (t1, t2, t3, t4)):
-        return None
-    a, b = t1.left, t1.right
-    if t2 is And(a, Not(b)) and t3 is And(Not(a), b) and t4 is And(Not(a), Not(b)):
-        return a, b
+    # f is an Or; C(a, b) is interned, so its node for the leading a & b is f or not
+    t = f.left.left.left if type(f.left) is Or and type(f.left.left) is Or else None
+    if type(t) is And and f is commutator_f(t.left, t.right):
+        return t.left, t.right
     return None
 
 

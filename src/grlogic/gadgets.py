@@ -20,42 +20,25 @@ from .formula import (
     Or,
     Var,
     and_all,
+    commutator_f,
     const_names,
+    eq_f,
     evaluate,
     fold,
     free_vars,
     leaf_negation_form,
+    leq_f,
     or_all,
+    proj_f,
     rename_vars,
 )
 from .generic import moment_span
 from .lattice import Subspace
 
 
-def commutator_f(x: Formula, y: Formula) -> Formula:
-    """(x^y) v (x^!y) v (!x^y) v (!x^!y); equal to 1 exactly when x, y commute."""
-    nx, ny = Not(x), Not(y)
-    return Or(Or(Or(And(x, y), And(x, ny)), And(nx, y)), And(nx, ny))
-
-
 def semicommutator_f(x: Formula, y: Formula) -> Formula:
     """(x^y) v (x^!y); x commutes with y iff this equals x."""
     return Or(And(x, y), And(x, Not(y)))
-
-
-def eq_f(x: Formula, y: Formula) -> Formula:
-    """(x^y) v (!x^!y); equal to 1 exactly when x = y."""
-    return Or(And(x, y), And(Not(x), Not(y)))
-
-
-def leq_f(x: Formula, y: Formula) -> Formula:
-    """Equal to 1 exactly when x <= y."""
-    return eq_f(x, And(x, y))
-
-
-def proj_f(x: Formula, z: Formula) -> Formula:
-    """Projection of x onto z: z ^ (x v !z)."""
-    return And(z, Or(x, Not(z)))
 
 
 def fresh_rename(f: Formula, taken: set[str]) -> tuple[Formula, dict[str, str]]:

@@ -15,21 +15,17 @@ Two distinct generic elements always meet in 0 and join to 1, in every
 combination with complements.  The same coding doubles as plain Boolean
 algebra when only codes 0 and 1 appear.
 
-Scalar and numpy-vectorized versions of the connectives are provided.
-The scalar ones drive the plane search; the vectorized ones evaluate
-the full Boolean grid of `decide_boolean` and import numpy on first use.
+The connectives are defined once, on single codes.  They drive the
+plane search directly, and `evaluate_grid` lifts them to the whole
+product grid of `decide_boolean`: each value there maps every code to
+the set of grid cells that take it, one Python int bitmask per code.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import Mapping, Sequence
 
 from . import formula as fm
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    ArrayLike = Union[int, np.ndarray]
 
 CODE_ZERO = 0
 CODE_ONE = 1
@@ -77,39 +73,50 @@ def evaluate(f: fm.Formula, env: Mapping[str, int]) -> int:
     return fm.fold(f, lambda x: env[x.name], lambda: CODE_ZERO, lambda: CODE_ONE, neg, meet, join)
 
 
-def vneg(a: ArrayLike) -> ArrayLike:
-    import numpy as np
+def evaluate_grid(f: fm.Formula, var_axes: Mapping[str, int], n_axes: int, codes: Sequence[int]) -> dict[int, int]:
+    """Evaluate f over the full product grid codes^n_axes, one axis per variable.
 
-    a = np.asarray(a)
-    return np.where(a <= 1, 1 - a, a ^ 1)
-
-
-def vmeet(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    import numpy as np
-
-    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    return np.where(a == 1, b, np.where(b == 1, a, np.where(a == b, a, 0)))
-
-
-def vjoin(a: ArrayLike, b: ArrayLike) -> ArrayLike:
-    import numpy as np
-
-    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    return np.where(a == 0, b, np.where(b == 0, a, np.where(a == b, a, 1)))
-
-
-def evaluate_grid(f: fm.Formula, var_axes: Mapping[str, int], n_axes: int, codes: np.ndarray) -> np.ndarray:
-    """Evaluate f over the full product grid codes^n, one axis per variable.
-
-    var_axes maps each free name to its axis; the result broadcasts to
-    shape (len(codes),) * n_axes.
+    var_axes maps each free name to its axis.  The value maps each code
+    f takes to the mask of cells where it takes it: bit i is cell i in
+    row-major order, axis 0 slowest, so the lowest set bit is the
+    lexicographically first cell.  The masks partition the grid.
     """
-    import numpy as np
+    p = len(codes)
+    cells = p**n_axes
+    full = (1 << cells) - 1
 
-    def leaf(x: fm.Formula) -> np.ndarray:
-        shape = [1] * n_axes
-        shape[var_axes[x.name]] = len(codes)
-        return codes.reshape(shape)
+    def leaf(x: fm.Formula) -> dict[int, int]:
+        # axis k holds each code for w consecutive cells, repeating every p*w;
+        # the repeats come from doubling shifts, far faster than a repunit division
+        w = p ** (n_axes - 1 - var_axes[x.name])
+        out: dict[int, int] = {}
+        for j, c in enumerate(codes):
+            m, span = ((1 << w) - 1) << (j * w), p * w
+            while span < cells:
+                m |= m << span
+                span *= 2
+            out[c] = out.get(c, 0) | (m & full)
+        return out
 
-    zeros, ones = np.zeros((1,) * n_axes, dtype=codes.dtype), np.ones((1,) * n_axes, dtype=codes.dtype)
-    return fm.fold(f, leaf, lambda: zeros, lambda: ones, vneg, vmeet, vjoin)
+    def lift(op):
+        def apply(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+            out: dict[int, int] = {}
+            for x, mx in a.items():
+                for y, my in b.items():
+                    m = mx & my
+                    if m:
+                        z = op(x, y)
+                        out[z] = out.get(z, 0) | m
+            return out
+
+        return apply
+
+    return fm.fold(
+        f,
+        leaf,
+        lambda: {CODE_ZERO: full},
+        lambda: {CODE_ONE: full},
+        lambda a: {neg(x): m for x, m in a.items()},
+        lift(meet),
+        lift(join),
+    )

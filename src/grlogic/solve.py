@@ -164,17 +164,14 @@ def decide_boolean(f: Formula) -> SatVerdict:
     n = len(names)
     if n > _BOOLEAN_VAR_CAP:
         raise ValueError(f"{n} variables exceeds the Boolean cap {_BOOLEAN_VAR_CAP}")
-    # The full grid of codes 0 and 1 (Boolean values), evaluated by numpy:
-    # with nothing to prune, as in a one-conjunct formula, it beats the
+    # The full grid of codes 0 and 1 (Boolean values), one int truth table per
+    # code: with nothing to prune, as in a one-conjunct formula, it beats the
     # backtracking engine by orders of magnitude.
-    import numpy as np
-
-    hits = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, np.arange(2, dtype=np.int16)) == 1
-    hits = np.broadcast_to(hits, (2,) * n)
-    if not hits.any():
+    hits = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, (0, 1)).get(mo.CODE_ONE, 0)
+    if not hits:
         return SatVerdict("unsat", None, "boolean: exhaustive over {0,1}^n")
-    digits = np.unravel_index(int(np.argmax(hits.ravel())), (2,) * n)
-    bindings = {v: (Subspace.full(1) if digit else Subspace.zero(1)) for v, digit in zip(names, digits)}
+    cell = (hits & -hits).bit_length() - 1  # the first model, names[0] most significant
+    bindings = {v: (Subspace.full(1) if (cell >> (n - 1 - i)) & 1 else Subspace.zero(1)) for i, v in enumerate(names)}
     witness = Assignment(1, bindings)
     assert verify(f, witness, "strong")
     return SatVerdict("sat", witness, "boolean: exhaustive over {0,1}^n")

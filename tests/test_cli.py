@@ -174,10 +174,40 @@ def test_verdict_witness_file_reverifies(tmp_path, capsys):
     assert verify(parse("eq(X, Y)"), witness, "strong")
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # numpy serves only the Boolean grid of decide_boolean, imported there
+def _run_python(code, *args, timeout=60):
+    # a fresh interpreter with this checkout's src first on the path
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, grlogic.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # grlogic needs only the standard library
+    assert _run_python("import sys, grlogic.cli; sys.exit('numpy' in sys.modules)").returncode == 0
+    # with numpy made unimportable, the Boolean decider and its CLI engine still run
+    f = tmp_path / "f.txt"
+    f.write_text("(X | Y) & !(X & Y) & (Y | Z)\n")
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from grlogic.cli import main\n"
+        "from grlogic.formula import parse\n"
+        "from grlogic.solve import decide_boolean\n"
+        "assert decide_boolean(parse('X & !Y')).status == 'sat'\n"
+        "sys.exit(main(['sat', '--engine', 'boolean', '--formula', sys.argv[1]]))\n"
+    )
+    proc = _run_python(code, str(f))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "sat"
+
+
+def test_cli_too_deep_input_exits_2_without_traceback(tmp_path):
+    # the plane decider recurses once per variable; 1,200 variables exceed the
+    # interpreter's recursion limit, which is reported as an input error
+    f = tmp_path / "f.txt"
+    f.write_text(" & ".join(f"(x{i} | !x{i})" for i in range(1200)) + "\n")
+    code = "import sys; from grlogic.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _run_python(code, "sat", "--engine", "2d", "--force", "--formula", str(f))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -63,6 +63,15 @@ def test_print_parse_roundtrip_random():
         assert parse(format_formula(f)) is f
 
 
+def test_macros_parse_to_their_builders():
+    from grlogic import gadgets
+
+    a, b = Var("A"), Var("B")
+    for name, builder in (("C", gadgets.commutator_f), ("proj", gadgets.proj_f), ("eq", gadgets.eq_f), ("leq", gadgets.leq_f)):
+        assert parse(f"{name}(A, B)") is builder(a, b)
+        assert parse(f"{name}(A & !B, B | A)") is builder(And(a, Not(b)), Or(b, a))
+
+
 def test_commutator_resugar():
     from grlogic.gadgets import commutator_f
 

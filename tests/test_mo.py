@@ -6,8 +6,7 @@ codes compute exactly the same algebra.
 """
 
 import random
-
-import numpy as np
+from itertools import product
 
 from grlogic import mo
 from grlogic.formula import Assignment, evaluate, free_vars
@@ -54,32 +53,21 @@ def test_code_algebra_tables():
             assert mo.join(a, mo.meet(a, b)) == a
 
 
-def test_vectorized_ops_match_scalar_ops():
-    codes = np.array([0, 1, 2, 3, 4, 5], dtype=np.int16)
-    neg_v = mo.vneg(codes)
-    assert [int(x) for x in neg_v] == [mo.neg(int(c)) for c in codes]
-    a, b = np.meshgrid(codes, codes, indexing="ij")
-    meet_v = mo.vmeet(a, b)
-    join_v = mo.vjoin(a, b)
-    for i, x in enumerate(codes):
-        for j, y in enumerate(codes):
-            assert int(meet_v[i, j]) == mo.meet(int(x), int(y))
-            assert int(join_v[i, j]) == mo.join(int(x), int(y))
-
-
 def test_evaluate_grid_matches_pointwise():
     rng = random.Random(122)
     for _ in range(25):
         f = random_formula(rng, ["A", "B"], rng.randint(1, 8))
         names = sorted(free_vars(f))
         n = len(names)
-        if n == 0:
-            continue
         pool = 2 * n + 2
-        codes = np.arange(pool, dtype=np.int16)
-        grid = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, codes)
-        grid = np.broadcast_to(grid, (pool,) * n)
-        for flat in range(pool**n):
-            digits = np.unravel_index(flat, (pool,) * n)
-            env = {v: int(d) for v, d in zip(names, digits)}
-            assert int(grid[digits]) == mo.evaluate(f, env)
+        grid = mo.evaluate_grid(f, {v: i for i, v in enumerate(names)}, n, range(pool))
+        # the masks are nonempty and partition the grid's pool**n cells
+        covered = 0
+        for mask in grid.values():
+            assert mask and not covered & mask
+            covered |= mask
+        assert covered == (1 << pool**n) - 1
+        # bit i is cell i in row-major order, axis 0 slowest
+        for cell, digits in enumerate(product(range(pool), repeat=n)):
+            (code,) = [c for c, mask in grid.items() if mask >> cell & 1]
+            assert code == mo.evaluate(f, dict(zip(names, digits)))

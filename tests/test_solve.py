@@ -6,7 +6,22 @@ import pytest
 
 from grlogic import formats, mo
 from grlogic.exactlin import Scalar
-from grlogic.formula import Assignment, NamedConst, const_names, evaluate, free_vars, length, parse, substitute
+from grlogic.formula import (
+    And,
+    Assignment,
+    NamedConst,
+    Not,
+    Or,
+    Var,
+    and_all,
+    const_names,
+    evaluate,
+    free_vars,
+    length,
+    or_all,
+    parse,
+    substitute,
+)
 from grlogic.gadgets import big_psi, big_psi_witness, floor_half_f, fneq2d, generic_f, ndist_psi
 from grlogic.generic import fresh_plane_lines, pairwise_generic
 from grlogic.lattice import Subspace
@@ -62,13 +77,60 @@ def test_decide_boolean_matches_truth_tables():
     for _ in range(60):
         f = random_formula(rng, ["X", "Y", "Z"], rng.randint(1, 8))
         names = sorted(free_vars(f))
-        brute = False
-        for bits in product((False, True), repeat=len(names)):
+        first = None
+        for bits in product((0, 1), repeat=len(names)):
             a = Assignment(1, {v: Subspace.full(1) if b else Subspace.zero(1) for v, b in zip(names, bits)})
             if evaluate(f, a).is_full():
-                brute = True
+                first = a
                 break
-        assert (decide_boolean(f).status == "sat") == brute
+        verdict = decide_boolean(f)
+        assert (verdict.status == "sat") == (first is not None)
+        if first is not None:
+            # the witness is the first model in product((0, 1), repeat=n) order
+            assert verdict.witness.bindings == first.bindings
+
+
+def test_decide_boolean_at_the_variable_cap():
+    xs = [Var(f"x{i:02d}") for i in range(20)]
+    assert decide_boolean(or_all([And(x, Not(x)) for x in xs])).status == "unsat"
+    # the only model sets exactly x19, the last (least significant) variable
+    verdict = decide_boolean(and_all([Not(x) for x in xs[:19]] + [xs[19]]))
+    assert verdict.status == "sat"
+    assert [verdict.witness.bindings[x.name].is_full() for x in xs] == [False] * 19 + [True]
+    too_many = xs + [Var("x20")]
+    with pytest.raises(ValueError):
+        decide_boolean(or_all([Or(x, Not(x)) for x in too_many]))
+
+
+def _pinned_boolean_formulas():
+    """A fixed, seeded set of Boolean decisions: random formulas in 1-9 variables,
+    random 3-CNFs below and above the threshold, and two structured families."""
+    rng = random.Random(711)
+    formulas = []
+    for _ in range(200):
+        names = [f"V{i}" for i in range(rng.randint(1, 9))]
+        formulas.append(random_formula(rng, names, rng.randint(1, 24)))
+    for n in (6, 9, 12):
+        for clauses_per_var in (3, 6):
+            clauses = [
+                [(f"x{v}", rng.random() < 0.5) for v in rng.sample(range(n), 3)] for _ in range(clauses_per_var * n)
+            ]
+            formulas.append(CnfFormula.of(clauses).to_formula())
+    for n in (1, 5, 12):
+        xs = [Var(f"x{i}") for i in range(n)]
+        formulas.append(or_all([And(x, Not(x)) for x in xs]))
+        formulas.append(and_all([Or(x, Not(x)) for x in xs]))
+    return formulas
+
+
+def test_decide_boolean_verdicts_are_pinned():
+    # sha256 of the serialised verdicts (status, certificate, first witness),
+    # computed with the numpy grid evaluator the int truth tables replaced:
+    # 179 Sat, 33 Unsat
+    digest = hashlib.sha256()
+    for f in _pinned_boolean_formulas():
+        digest.update(formats.dumps(formats.verdict_to_obj(decide_boolean(f))).encode())
+    assert digest.hexdigest() == "3488439c03b77fcc17a4716f6044b26767eb0aa0b2c3102e3ee9c0d7b4e4a2fa"
 
 
 # -- plane decider ---------------------------------------------------------------
