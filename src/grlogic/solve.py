@@ -320,40 +320,44 @@ def _backtrack(
         return None
     if not names:
         return ()
+    # depth-first on explicit stacks: per depth, the next candidate index,
+    # the running meet on entry and the number of lines in use
     digits = [0] * len(names)
+    nexts = [0] * len(names)
+    accs = [acc] * len(names)
+    useds = [used] * len(names)
     last = len(names) - 1
     count = 0
-
-    def descend(depth: int, acc: T, used: Optional[int]) -> Optional[tuple[int, ...]]:
-        nonlocal count
-        name, checks = names[depth], ready[depth]
-        width = len(candidates) if used is None else min(2 * used + 3, len(candidates))
-        for i in range(width):
-            if limit is not None and count >= limit:
-                return None
-            env[name] = candidates[i]
-            digits[depth] = i
-            running = acc
-            for part, key, memo in checks:
-                k = key(digits)
-                val = memo.get(k)
-                if val is None:
-                    val = memo[k] = value(part, env)
-                if (val != one) if strong else is_zero(val):
-                    break
-                if not strong:
-                    running = meet(running, val)
-            else:
-                count += depth == last
-                if strong or not is_zero(running):
-                    if depth == last:
-                        return tuple(digits)
-                    found = descend(depth + 1, running, used if used is None or i != 2 * used + 2 else used + 1)
-                    if found is not None:
-                        return found
-        return None
-
-    return descend(0, acc, used)
+    depth = 0
+    while depth >= 0:
+        i, depth_used = nexts[depth], useds[depth]
+        if i >= (len(candidates) if depth_used is None else min(2 * depth_used + 3, len(candidates))):
+            depth -= 1
+            continue
+        if limit is not None and count >= limit:
+            return None
+        nexts[depth] = i + 1
+        env[names[depth]] = candidates[i]
+        digits[depth] = i
+        running = accs[depth]
+        for part, key, memo in ready[depth]:
+            k = key(digits)
+            val = memo.get(k)
+            if val is None:
+                val = memo[k] = value(part, env)
+            if (val != one) if strong else is_zero(val):
+                break
+            if not strong:
+                running = meet(running, val)
+        else:
+            count += depth == last
+            if strong or not is_zero(running):
+                if depth == last:
+                    return tuple(digits)
+                depth += 1
+                nexts[depth], accs[depth] = 0, running
+                useds[depth] = depth_used if depth_used is None or i != 2 * depth_used + 2 else depth_used + 1
+    return None
 
 
 # -- conjunctive-form decider ----------------------------------------------------

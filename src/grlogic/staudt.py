@@ -12,16 +12,22 @@ members, so polynomial feasibility over d x d matrices compiles to
 The term-level identities used here are proved for the coordinate frame
 produced by `standard_frame`; the evaluators therefore refuse other
 frames, while the compiled formula quantifies over the frame variables.
+
+Against that frame, encodings are read straight off canonical bases: x
+lies in the strip W0 v W1, meets ~W0 trivially and joins with it to
+everything exactly when its rref basis has d rows, a zero first block
+and the identity as middle block, i.e. the rows (0 | e_r | -T e_r).
 """
 
 from __future__ import annotations
 
 import re as _re
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactlin import Matrix, Scalar
+from .exactlin import ONE, ZERO, Matrix, Scalar
 from .formula import And, Assignment, Formula, Not, Or, Var, and_all, evaluate
 from .gadgets import eq_f, leq_f
 from .lattice import Subspace
@@ -46,9 +52,11 @@ class Frame3:
         return {"W0": self.w0, "W1": self.w1, "W2": self.w2, "V0": self.v0, "V1": self.v1}
 
 
+@cache
 def standard_frame(d: int) -> Frame3:
     """The coordinate frame: W0, W1, W2 are the middle, last and first
-    blocks of F^(3d); V0 and V1 the corresponding diagonal axes."""
+    blocks of F^(3d); V0 and V1 the corresponding diagonal axes.  Built
+    once per block size; callers share the returned frame."""
     if d < 1:
         raise ValueError("block size must be positive")
     z = [Scalar(0)] * d
@@ -112,7 +120,8 @@ def is_frame(fr: Frame3) -> bool:
 
 
 def _require_standard(fr: Frame3) -> None:
-    if fr != standard_frame(fr.block):
+    std = standard_frame(fr.block)
+    if fr is not std and fr != std:
         raise ValueError(
             "the arithmetic evaluators are proved for the coordinate frame only; "
             "build frames with standard_frame"
@@ -186,17 +195,18 @@ def int_term(k: int) -> Formula:
 
 
 def encode(t: Matrix, fr: Frame3) -> Subspace:
-    """The subspace {(0, x, -T x)} carrying the matrix T."""
+    """The subspace {(0, x, -T x)} carrying the matrix T; its rows
+    (0 | e_r | -T e_r) are already its canonical basis."""
     _require_standard(fr)
     d = fr.block
     if t.rows != d or t.cols != d:
         raise ValueError(f"need a {d}x{d} matrix")
-    rows = []
+    entries: list[Scalar] = []
     for r in range(d):
-        e = [Scalar(1) if c == r else Scalar(0) for c in range(d)]
-        image = [-t.entry(i, r) for i in range(d)]
-        rows.append([Scalar(0)] * d + e + image)
-    return Subspace.from_rows(3 * d, rows)
+        entries += [ZERO] * d
+        entries += [ONE if c == r else ZERO for c in range(d)]
+        entries += [-t.entry(i, r) for i in range(d)]
+    return Subspace(3 * d, Matrix(d, 3 * d, entries), _canonical=True)
 
 
 def encode_scalar(x: Union[int, Fraction, Scalar], fr: Frame3) -> Subspace:
@@ -207,37 +217,23 @@ def decode(x: Subspace, fr: Frame3) -> Optional[Matrix]:
     """Invert `encode`; None when the side conditions fail.
 
     The conditions are: x lies in the strip W0 v W1, meets the
-    complement of W0 trivially, and joins with it to everything.
+    complement of W0 trivially, and joins with it to everything.  They
+    hold exactly when the canonical basis of x is d rows (0 | e_r | y_r):
+    the strip zeroes the first block, and the other two make projecting
+    x onto the middle block a bijection, whose rref is the identity.
+    Then T e_r = -y_r.
     """
     _require_standard(fr)
     d = fr.block
     if x.ambient != 3 * d:
         raise ValueError("ambient mismatch")
-    strip = fr.w0.join(fr.w1)
-    nw0 = fr.w0.complement()
-    if not strip.contains(x):
+    if x.dim != d:
         return None
-    if not x.meet(nw0).is_zero():
-        return None
-    if not x.join(nw0).is_full():
-        return None
-    # rows are (0 | m | y) with y = -T m and the m spanning F^d
-    mid = Matrix.from_rows([x.basis.row(r)[d : 2 * d] for r in range(x.dim)], cols=d)
-    last = Matrix.from_rows([x.basis.row(r)[2 * d :] for r in range(x.dim)], cols=d)
-    return _solve_linear_map(mid, last.scale(Scalar(-1)))
-
-
-def _solve_linear_map(inputs: Matrix, outputs: Matrix) -> Optional[Matrix]:
-    """T with T x_r = y_r for all rows; inputs rows must span the space."""
-    d = inputs.cols
-    t_cols: list[list[Scalar]] = []
-    # T^T solves inputs @ T^T = outputs
-    for j in range(outputs.cols):
-        col = inputs.solve([outputs.entry(r, j) for r in range(outputs.rows)])
-        if col is None:
+    rows = [x.basis.row(r) for r in range(d)]
+    for r, row in enumerate(rows):
+        if any(row[:d]) or any(row[d + c] != (ONE if c == r else ZERO) for c in range(d)):
             return None
-        t_cols.append(col)
-    return Matrix.from_rows(t_cols, cols=d)
+    return Matrix(d, d, [-rows[r][2 * d + i] for i in range(d) for r in range(d)])
 
 
 def _eval_term(term: Formula, fr: Frame3, args: dict[str, Subspace]) -> Subspace:

@@ -203,11 +203,23 @@ def test_cli_import_leaves_numpy_unloaded(tmp_path):
 
 
 def test_cli_too_deep_input_exits_2_without_traceback(tmp_path):
-    # the plane decider recurses once per variable; 1,200 variables exceed the
-    # interpreter's recursion limit, which is reported as an input error
+    # JSON nested deeper than the interpreter's recursion limit cannot be
+    # decoded; that is reported as an input error
+    f = tmp_path / "f.txt"
+    f.write_text("X\n")
+    a = tmp_path / "a.json"
+    a.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code = "import sys; from grlogic.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = _run_python(code, "eval", "--formula", str(f), "--assignment", str(a))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: input too large") and "Traceback" not in proc.stderr
+
+
+def test_cli_decides_more_variables_than_the_recursion_limit(tmp_path):
+    # the plane search keeps its depth in data, so 1,200 variables decide
     f = tmp_path / "f.txt"
     f.write_text(" & ".join(f"(x{i} | !x{i})" for i in range(1200)) + "\n")
     code = "import sys; from grlogic.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = _run_python(code, "sat", "--engine", "2d", "--force", "--formula", str(f))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "sat"

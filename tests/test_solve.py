@@ -319,6 +319,18 @@ def test_decide_2d_large_guard():
         decide_2d(f, "strong")
 
 
+def test_decide_2d_deeper_than_the_recursion_limit():
+    # the search keeps one stack frame per variable only in data, not in calls
+    names = [f"X{i}" for i in range(1200)]
+    with_constant = and_all([Or(Var(x), NamedConst("C")) for x in names])
+    tautologies = and_all([Or(Var(x), Not(Var(x))) for x in names])
+    for mode in ("strong", "weak"):
+        for f, kwargs in ((with_constant, {"constants": {"C": Subspace.full(2)}}), (tautologies, {"allow_large": True})):
+            v = decide_2d(f, mode, **kwargs)
+            assert v.status == "sat"
+            assert all(v.witness.bindings[x].is_zero() for x in names)
+
+
 # -- conjunctive forms --------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from grlogic.exactlin import I, Matrix, Scalar
 from grlogic.formula import evaluate
 from grlogic.lattice import Subspace
 
-from conftest import random_matrix
+from conftest import random_matrix, random_scalar, random_subspace
 
 
 def rational_matrix(rng, n):
@@ -52,6 +52,106 @@ def test_encode_decode_examples():
     assert staudt.decode(Subspace.span([1, 1, -2]), fr) is None  # outside the strip
     assert staudt.decode(fr.w1, fr) is None  # meets the complement of W0
     assert staudt.decode(Subspace.zero(3), fr) is None
+
+
+def _reference_decode(x, fr):
+    """decode by the lattice side conditions plus a linear solve."""
+    d = fr.block
+    nw0 = fr.w0.complement()
+    if not fr.w0.join(fr.w1).contains(x) or not x.meet(nw0).is_zero() or not x.join(nw0).is_full():
+        return None
+    mid = Matrix.from_rows([x.basis.row(r)[d : 2 * d] for r in range(x.dim)], cols=d)
+    last = [x.basis.row(r)[2 * d :] for r in range(x.dim)]
+    # row j of T solves mid @ t_j = -(column j of last)
+    t_rows = [mid.solve([-y[j] for y in last]) for j in range(d)]
+    assert all(row is not None for row in t_rows)
+    return Matrix.from_rows(t_rows, cols=d)
+
+
+def _decode_cases(rng, d, complex_ok):
+    """Seeded subspaces of F^(3d), labelled by the side condition they probe."""
+    zero_block = [Scalar(0)] * d
+
+    def spanning_rows(t, k):
+        # k vectors (0 | m | -T m) for random middles m
+        m = random_matrix(rng, k, d, complex_ok)
+        image = (m @ t.transpose()).scale(-1)
+        return [zero_block + list(m.row(r)) + list(image.row(r)) for r in range(k)]
+
+    t = random_matrix(rng, d, d, complex_ok)
+    rows = spanning_rows(t, d)
+    yield "encoding", Subspace.from_rows(3 * d, rows)
+    shifted = [list(r) for r in rows]
+    shifted[rng.randrange(d)][rng.randrange(d)] += Scalar(rng.randint(1, 3))
+    yield "outside the strip", Subspace.from_rows(3 * d, shifted)
+    hit = [list(r) for r in rows]
+    hit[rng.randrange(d)] = zero_block + zero_block + [random_scalar(rng, complex_ok) or Scalar(1) for _ in range(d)]
+    yield "meets ~W0", Subspace.from_rows(3 * d, hit)
+    yield "dimension 0", Subspace.zero(3 * d)
+    if d > 1:
+        yield "dimension d-1", Subspace.from_rows(3 * d, spanning_rows(t, d - 1))
+    yield "dimension d+1", Subspace.from_rows(3 * d, rows + [zero_block + zero_block + [Scalar(1)] * d])
+    yield "random", random_subspace(rng, 3 * d, complex_ok)
+
+
+def test_decode_matches_lattice_side_conditions():
+    rng = random.Random(94)
+    seen: dict[tuple[str, bool], int] = {}
+    for d in (1, 2, 3):
+        fr = staudt.standard_frame(d)
+        for complex_ok in (False, True):
+            for _ in range(25):
+                for kind, x in _decode_cases(rng, d, complex_ok):
+                    got, want = staudt.decode(x, fr), _reference_decode(x, fr)
+                    assert got == want, (kind, x)
+                    seen[kind, want is not None] = seen.get((kind, want is not None), 0) + 1
+    # every kind of failure occurred, and encodings decode
+    for kind in ("outside the strip", "meets ~W0", "dimension 0", "dimension d-1", "dimension d+1"):
+        assert seen.get((kind, False), 0) > 0 and (kind, True) not in seen, kind
+    assert seen.get(("encoding", True), 0) > 100
+
+
+def test_encode_is_the_canonical_basis_of_its_rows():
+    rng = random.Random(95)
+    for d in (1, 2, 3):
+        fr = staudt.standard_frame(d)
+        for complex_ok in (False, True):
+            for _ in range(10):
+                t = random_matrix(rng, d, d, complex_ok)
+                rows = [[Scalar(0)] * d + [Scalar(int(c == r)) for c in range(d)] + [-t.entry(i, r) for i in range(d)] for r in range(d)]
+                assert staudt.encode(t, fr) == Subspace.from_rows(3 * d, rows)
+
+
+def test_standard_frame_is_built_once_and_equal_frames_are_accepted():
+    for d in (1, 2):
+        fr = staudt.standard_frame(d)
+        assert staudt.standard_frame(d) is fr
+        by_hand = staudt.Frame3(*(Subspace.from_rows(3 * d, s.basis.row_list()) for s in (fr.w0, fr.w1, fr.w2, fr.v0, fr.v1)), d)
+        assert by_hand is not fr and by_hand == fr
+        one = staudt.encode(Matrix.identity(d), by_hand)
+        assert staudt.decode(staudt.mul(one, one, by_hand), by_hand) == Matrix.identity(d)
+
+
+def test_encode_and_decode_use_no_lattice_connectives(monkeypatch):
+    calls = {}
+    for name in ("meet", "join", "complement", "contains"):
+        original = getattr(Subspace, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(Subspace, name, counted)
+    rng = random.Random(96)
+    for d in (1, 2, 3):
+        fr = staudt.standard_frame(d)
+        t = random_matrix(rng, d, d)
+        assert staudt.decode(staudt.encode(t, fr), fr) == t
+        assert staudt.decode(fr.w1, fr) is None
+        assert staudt.decode(Subspace.full(3 * d), fr) is None
+    assert calls == {}
+    fr.w0.meet(fr.w1)  # the counter itself works
+    assert calls == {"meet": 1}
 
 
 def test_encode_decode_roundtrip_random():
