@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -20,7 +19,7 @@ from . import gadgets
 from . import reductions
 from . import solve
 from . import staudt
-from .exactlin import Matrix
+from .exactlin import Matrix, parse_fraction
 from .formula import evaluate, format_formula, parse
 from .lattice import Subspace
 
@@ -215,7 +214,7 @@ def _cmd_staudt(args) -> int:
         g = staudt.poly_to_formula(args.poly)
         _write(format_formula(g) + "\n", args.out)
         return 0
-    a_val, b_val = (Fraction(x) for x in args.demo)
+    a_val, b_val = (parse_fraction(x) for x in args.demo)
     d = args.matdim
     if d != 1:
         raise ValueError("--demo works on scalars (matdim 1); use the API for matrix blocks")

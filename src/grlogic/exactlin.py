@@ -40,7 +40,8 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse the text form "a/b", "c/d*i" or "a/b+c/d*i" (signs optional)."""
+        """Parse the text form "a/b", "c/d*i" or "a/b+c/d*i" (signs optional);
+        ValueError on bad text, a zero denominator included."""
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar")
@@ -48,11 +49,11 @@ class Scalar:
             m = _NUM_RE.fullmatch(s)
             if not m:
                 raise ValueError(f"bad scalar: {text!r}")
-            return Scalar(Fraction(s))
+            return Scalar(parse_fraction(s))
         # pure imaginary, or real followed by signed imaginary
         m = _COMBINED_RE.fullmatch(s)
         if m:
-            return Scalar(Fraction(m.group("re")), _imag_value(m.group("im")))
+            return Scalar(parse_fraction(m.group("re")), _imag_value(m.group("im")))
         m = _IMAG_RE.fullmatch(s)
         if m:
             return Scalar(0, _imag_value(s))
@@ -137,13 +138,21 @@ _IMAG_RE = _re.compile(r"[+-]?(?:\d+(?:/\d+)?)?\*?i")
 _COMBINED_RE = _re.compile(r"(?P<re>[+-]?\d+(?:/\d+)?)(?P<im>[+-](?:\d+(?:/\d+)?)?\*?i)")
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with ValueError (not ZeroDivisionError) for a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _imag_value(part: str) -> Fraction:
     part = part[:-1].rstrip("*")  # strip trailing 'i' and optional '*'
     if part in ("", "+"):
         return Fraction(1)
     if part == "-":
         return Fraction(-1)
-    return Fraction(part)
+    return parse_fraction(part)
 
 
 ZERO = Scalar(0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,24 @@ def test_staudt_demo(capsys):
     assert code == 0
     assert "decodes to 6" in out
     assert "decodes to -1" in out
+    # pinned before staudt evaluated frame-only subterms once per block size
+    assert hashlib.sha256(out.encode()).hexdigest() == "2b29dd85cce55f03df9896bee8e7f421827d8a22895d07c226e972bfb99de513"
+
+
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means "witness demanded but none exists"; bad input exits 2
+    f = tmp_path / "f.txt"
+    f.write_text("X\n")
+    a = tmp_path / "a.json"
+    obj = formats.assignment_to_obj(Assignment(1, {"X": Subspace.span([1])}))
+    a.write_text(formats.dumps(obj).replace('"1"', '"1/0"'))
+    for argv in (
+        ["eval", "--formula", str(f), "--assignment", str(a)],
+        ["staudt", "--poly", "x", "--demo", "1/0", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "zero denominator" in err and "Traceback" not in err, err
 
 
 def test_staudt_compile(tmp_path, capsys):

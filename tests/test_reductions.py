@@ -13,7 +13,7 @@ from grlogic.exactlin import Matrix, Scalar
 from grlogic.formula import Assignment, Var, and_all, evaluate, format_formula, free_vars, length, parse
 from grlogic.gadgets import floor_half_f
 from grlogic.lattice import Subspace
-from grlogic.solve import CnfFormula, decide_2d, decide_boolean, verify
+from grlogic.solve import CnfFormula, decide_2d, decide_boolean, search, verify
 
 from conftest import random_formula
 
@@ -210,6 +210,40 @@ def test_witness_transfer_and_decode():
             decoded = rd.point_to_assignment(system, f, point)
             assert verify(f, decoded, mode)
             done += 1
+
+
+def _assert_leaves_round_trip(f, d, mode, witness):
+    system = rd.to_polysystem(f, d, mode)
+    point = rd.witness_to_point(system, f, witness)
+    assert rd.verify_poly_witness(system, point)
+    decoded = rd.point_to_assignment(system, f, point)
+    assert decoded.bindings == {name: witness.bound(name) for name in free_vars(f)}, (format_formula(f), mode)
+
+
+def test_witness_transfer_round_trips_the_leaf_subspaces():
+    # formulas with meets: de Morgan turns each into a complemented join
+    lines = [Subspace.span([1, q]) for q in (0, 2, -1)]
+    cases = [
+        ("X & Y", {"X": lines[1], "Y": lines[1]}),
+        ("!(!X & Y) & X", {"X": lines[0], "Y": lines[1]}),
+        ("X & !Y", {"X": lines[1], "Y": lines[1].complement()}),
+        ("(X | Y) & !(X & Y)", {"X": lines[0], "Y": lines[2]}),
+        ("X & (Y | !X) & (Z | X)", {"X": lines[2], "Y": lines[0], "Z": Subspace.zero(2)}),
+    ]
+    for text, bindings in cases:
+        f = parse(text)
+        witness = Assignment(2, bindings)
+        assert verify(f, witness, "weak"), text
+        _assert_leaves_round_trip(f, 2, "weak", witness)
+        for mode in ("strong", "weak"):
+            verdict = decide_2d(f, mode)
+            if verdict.status == "sat":
+                _assert_leaves_round_trip(f, 2, mode, verdict.witness)
+    # a search witness at d = 3, two lines that do not commute
+    f = parse("!C(X,Y)")
+    verdict = search(f, 3, "weak")
+    assert verdict.status == "sat" and {s.dim for s in verdict.witness.bindings.values()} == {1}
+    _assert_leaves_round_trip(f, 3, "weak", verdict.witness)
 
 
 def test_equation_degrees_quadratic():

@@ -638,6 +638,31 @@ def test_decide_cnf_odd_unsat_consistent_with_search():
     assert found.status == "unknown"
 
 
+def test_decide_cnf_agrees_with_search_beyond_the_plane():
+    # a search witness where decide_cnf said Unsat would refute it, and
+    # every decide_cnf witness must verify on its own
+    rng = random.Random(81)
+    seen = set()
+    for d in (3, 4, 5, 6):
+        for mode in ("strong", "weak"):
+            for _ in range(20):
+                names = [f"x{i}" for i in range(1, rng.randint(3, 4) + 1)]
+                clauses = [
+                    [(v, rng.random() < 0.5) for v in rng.sample(names, rng.randint(1, 3))]
+                    for _ in range(rng.randint(2, 6))
+                ]
+                cnf = CnfFormula.of(clauses)
+                f = cnf.to_formula()
+                decided, found = decide_cnf(cnf, d, mode), search(f, d, mode)
+                assert decided.status in ("sat", "unsat"), (clauses, d, mode)
+                if decided.status == "sat":
+                    assert verify(f, decided.witness, mode), (clauses, d, mode)
+                else:
+                    assert found.status == "unknown", (clauses, d, mode)
+                seen.add((decided.status, found.status))
+    assert ("sat", "sat") in seen and ("unsat", "unknown") in seen
+
+
 def test_decide_cnf_never_unknown_stress():
     # the complete decider must never fall back to Unknown: stress the
     # mixed-witness construction across parities, sizes and modes

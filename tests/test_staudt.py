@@ -5,7 +5,7 @@ import pytest
 
 from grlogic import staudt
 from grlogic.exactlin import I, Matrix, Scalar
-from grlogic.formula import evaluate
+from grlogic.formula import And, Assignment, Not, Or, Var, evaluate, free_vars, iter_nodes
 from grlogic.lattice import Subspace
 
 from conftest import random_matrix, random_scalar, random_subspace
@@ -152,6 +152,67 @@ def test_encode_and_decode_use_no_lattice_connectives(monkeypatch):
     assert calls == {}
     fr.w0.meet(fr.w1)  # the counter itself works
     assert calls == {"meet": 1}
+
+
+def gaussian_integer_matrix(rng, d, complex_ok):
+    return Matrix(d, d, [Scalar(rng.randint(-4, 4), rng.randint(-4, 4) if complex_ok else 0) for _ in range(d * d)])
+
+
+ARITHMETIC = (
+    ("mul", staudt.mul_term(Var("A"), Var("B")), ("A", "B")),
+    ("sub", staudt.sub_term(Var("A"), Var("B")), ("A", "B")),
+    ("adjoint", staudt.adjoint_term(Var("A")), ("A",)),
+)
+
+
+def test_arithmetic_matches_plain_evaluation_of_its_terms():
+    # the reference evaluates the whole term with the frame members bound
+    rng = random.Random(97)
+    for d in (1, 2, 3):
+        fr = staudt.standard_frame(d)
+        for complex_ok in (False, True):
+            for _ in range(4 if d < 3 else 2):
+                a, b = (staudt.encode(gaussian_integer_matrix(rng, d, complex_ok), fr) for _ in range(2))
+                for kind, term, names in ARITHMETIC:
+                    args = dict(zip(names, (a, b)))
+                    want = evaluate(term, Assignment(3 * d, {**fr.members(), **args}))
+                    assert getattr(staudt, kind)(*args.values(), fr) == want, (kind, d)
+
+
+def test_warmed_arithmetic_steps_skip_the_frame_only_subterms(monkeypatch):
+    calls = {}
+    for name in ("meet", "join", "complement"):
+        original = getattr(Subspace, name)
+
+        def counted(*args, _original=original):
+            calls["all"] = calls.get("all", 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(Subspace, name, counted)
+    rng = random.Random(98)
+    # without the residual terms: 14, 15 and 20 calls
+    expected = {"mul": 8, "sub": 6, "adjoint": 11}
+    for d in (1, 2):
+        fr = staudt.standard_frame(d)
+        a, b = (staudt.encode(gaussian_integer_matrix(rng, d, True), fr) for _ in range(2))
+        for kind, _, names in ARITHMETIC:
+            args = (a, b)[: len(names)]
+            getattr(staudt, kind)(*args, fr)  # warm
+            calls.clear()
+            getattr(staudt, kind)(*args, fr)
+            assert calls == {"all": expected[kind]}, (kind, d)
+
+
+def test_residual_terms_hold_no_frame_only_compound():
+    for d in (1, 2, 3):
+        for kind, term, names in ARITHMETIC:
+            rest, pinned = staudt._residual(term, d)
+            assert free_vars(rest) == set(names) | set(pinned)
+            assert all(name.startswith("#") for name in pinned)
+            for node in iter_nodes(rest):
+                if type(node) in (Not, And, Or):
+                    assert free_vars(node) & set(names), (kind, node)
+            assert all(v.ambient == 3 * d for v in pinned.values())
 
 
 def test_encode_decode_roundtrip_random():

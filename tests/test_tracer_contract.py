@@ -17,3 +17,24 @@ def test_every_traced_function_resolves(monkeypatch):
             if not callable(fn):
                 missing.append(f"{name}: {getattr(owner, '__name__', owner)}.{attr}")
     assert not missing, missing
+
+
+def test_staudt_arithmetic_evaluates_through_the_module_name(monkeypatch):
+    # the tracer's formula.evaluate figures cover staudt steps only while
+    # mul/sub/adjoint look `staudt.evaluate` up by name at call time
+    from grlogic import staudt
+
+    calls = []
+    original = staudt.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(staudt, "evaluate", counted)
+    fr = staudt.standard_frame(1)
+    a, b = staudt.encode_scalar(2, fr), staudt.encode_scalar(3, fr)
+    for step in (lambda: staudt.mul(a, b, fr), lambda: staudt.sub(a, b, fr), lambda: staudt.adjoint(a, fr)):
+        calls.clear()
+        step()
+        assert len(calls) == 1
