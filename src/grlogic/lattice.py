@@ -9,13 +9,49 @@ meet is intersection, join is sum, complement is the orthogonal
 complement for the inner product <y, x> = sum_k y_k * conj(x_k)
 (conjugation on the second argument).  Positive definiteness of this
 form over Q(i) guarantees S meet ~S = 0 and S join ~S = 1 exactly.
+
+Subspaces are immutable, so results are shared.  `meet`, `join` and
+`complement` first look up one LRU computed table (as in BDD packages,
+Bryant 1986) of at most `_TABLE_BOUND` entries, keyed on the connective
+and the operands' ids.  Identity keys are safe because each entry holds
+its operands and result strongly: no key's id can be reused while the
+entry lives.  `complement` records both directions, so !!S is S, and
+`zero(d)` and `full(d)` are one shared object per d, so the constants
+and complements taken within the full interval hit the table from call
+to call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections import OrderedDict
+from functools import cache
+from typing import Callable, Iterable, Optional, Sequence
 
 from .exactlin import Matrix, Scalar, ScalarLike
+
+
+_TABLE_BOUND = 1024
+_table: OrderedDict[tuple[str, int, int], tuple[Subspace, Optional[Subspace], Subspace]] = OrderedDict()
+
+
+def _remember(op: str, a: Subspace, b: Optional[Subspace], result: Subspace) -> None:
+    key = (op, id(a), id(b))
+    _table[key] = (a, b, result)
+    _table.move_to_end(key)
+    if len(_table) > _TABLE_BOUND:
+        _table.popitem(last=False)
+
+
+def _computed(op: str, a: Subspace, b: Optional[Subspace], compute: Callable) -> Subspace:
+    """The table's result for (op, a, b), computing and recording it on a miss."""
+    key = (op, id(a), id(b))
+    entry = _table.get(key)
+    if entry is not None:
+        _table.move_to_end(key)
+        return entry[2]
+    result = compute(a, b)
+    _remember(op, a, b, result)
+    return result
 
 
 class Subspace:
@@ -46,10 +82,12 @@ class Subspace:
         return Subspace.from_rows(len(vectors[0]), vectors)
 
     @staticmethod
+    @cache
     def zero(ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.zeros(0, ambient), _canonical=True)
 
     @staticmethod
+    @cache
     def full(ambient: int) -> "Subspace":
         return Subspace(ambient, Matrix.identity(ambient), _canonical=True)
 
@@ -90,18 +128,30 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError(f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
-    # -- lattice connectives -------------------------------------------------
+    # -- lattice connectives: the public ones look up the computed table,
+    # the private ones compute on a miss -------------------------------------
 
     def complement(self) -> "Subspace":
         """Orthogonal complement {y : <y, x> = 0 for all x in self}."""
-        return Subspace(self.ambient, self.basis.conj().nullspace(), _canonical=True)
+        result = _computed("!", self, None, Subspace._complement)
+        _remember("!", result, None, self)  # both directions, so !!S is S
+        return result
 
     def join(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.ambient, self.basis.stack(other.basis))
+        return _computed("|", self, other, Subspace._join)
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection, via the kernel of the stacked coefficient system."""
+        return _computed("&", self, other, Subspace._meet)
+
+    def _complement(self, _: None) -> "Subspace":
+        return Subspace(self.ambient, self.basis.conj().nullspace(), _canonical=True)
+
+    def _join(self, other: "Subspace") -> "Subspace":
+        self._check_ambient(other)
+        return Subspace(self.ambient, self.basis.stack(other.basis))
+
+    def _meet(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         k, m = self.dim, other.dim
         if k == 0 or m == 0:

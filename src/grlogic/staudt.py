@@ -17,12 +17,6 @@ Against that frame, encodings are read straight off canonical bases: x
 lies in the strip W0 v W1, meets ~W0 trivially and joins with it to
 everything exactly when its rref basis has d rows, a zero first block
 and the identity as middle block, i.e. the rows (0 | e_r | -T e_r).
-
-Since the frame is fixed, the subterms of an arithmetic term that read
-only frame members (!W1, X2ID v W1, ...) have fixed values.  They are
-evaluated once per block size, and each step evaluates only what
-remains; the values are the same subspaces, from the same meets, joins
-and complements, so every result is unchanged.
 """
 
 from __future__ import annotations
@@ -31,11 +25,10 @@ import re as _re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from .exactlin import ONE, ZERO, Matrix, Scalar
-from .formula import And, Assignment, Const0, Const1, Formula, Not, Or, Var, and_all, evaluate, fold
+from .formula import And, Assignment, Formula, Not, Or, Var, and_all, evaluate
 from .gadgets import eq_f, leq_f
 from .lattice import Subspace
 
@@ -243,55 +236,9 @@ def decode(x: Subspace, fr: Frame3) -> Optional[Matrix]:
     return Matrix(d, d, [-rows[r][2 * d + i] for i in range(d) for r in range(d)])
 
 
-@cache
-def _residual(term: Formula, block: int) -> tuple[Formula, Mapping[str, Subspace]]:
-    """term with each maximal frame-only subterm replaced by a placeholder
-    `#<n>` (a name the grammar cannot produce), and the placeholders'
-    values under `standard_frame(block)`.  Complements are taken as
-    `evaluate` takes them, so the values are the ones it would compute."""
-    frame = standard_frame(block).members()
-    zero, full = Subspace.zero(3 * block), Subspace.full(3 * block)
-    pinned: dict[str, Subspace] = {}
-    placeholder: dict[Formula, Formula] = {}
-
-    # a frame-only node folds to (node, value), any other to its residual
-    def residual(x) -> Formula:
-        if type(x) is not tuple:
-            return x
-        node, value = x
-        if node not in placeholder:
-            placeholder[node] = Var(f"#{len(placeholder)}")
-            pinned[placeholder[node].name] = value
-        return placeholder[node]
-
-    def leaf(x: Var):
-        return (x, frame[x.name]) if x.name in frame else x
-
-    def neg(a):
-        return (Not(a[0]), full.meet(a[1].complement())) if type(a) is tuple else Not(a)
-
-    def binary(node, op):
-        def combine(a, b):
-            if type(a) is tuple and type(b) is tuple:
-                return node(a[0], b[0]), op(a[1], b[1])
-            return node(residual(a), residual(b))
-
-        return combine
-
-    meet, join = binary(And, Subspace.meet), binary(Or, Subspace.join)
-    out = fold(term, leaf, lambda: (Const0(), zero), lambda: (Const1(), full), neg, meet, join)
-    return residual(out), MappingProxyType(pinned)
-
-
 def _eval_term(term: Formula, fr: Frame3, args: dict[str, Subspace]) -> Subspace:
-    """Value of term with the frame members and args bound.
-
-    fr is the standard frame (callers check it), so the frame-only part
-    of term is evaluated once per block size (`_residual`) and each call
-    evaluates the rest with `evaluate`: the same meets, joins and
-    complements on the same subspaces, hence the same value."""
-    rest, pinned = _residual(term, fr.block)
-    return evaluate(rest, Assignment(fr.ambient, {**args, **pinned}))
+    """Value of term with the frame members and args bound."""
+    return evaluate(term, Assignment(fr.ambient, {**fr.members(), **args}))
 
 
 def mul(xt: Subspace, xs: Subspace, fr: Frame3) -> Subspace:

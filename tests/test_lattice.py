@@ -3,6 +3,7 @@ import random
 import pytest
 
 from grlogic.exactlin import I, Scalar
+from grlogic import lattice
 from grlogic.lattice import Subspace, complexify, direct_sum, graph_subspace, realify
 
 from conftest import random_matrix, random_subspace
@@ -241,3 +242,57 @@ def test_line_plane_containment_characterizations():
         contained = y.contains(x)
         assert (x.complement().join(x.meet(y)).is_full()) == contained
         assert (x.join(y).is_full()) == (not contained)
+
+
+# -- the computed table -----------------------------------------------------------
+#
+# References that bypass the table: join by row reduction of the stacked
+# bases, complement by a null space, meet by De Morgan over both.
+
+
+def raw_join(a: Subspace, b: Subspace) -> Subspace:
+    return Subspace(a.ambient, a.basis.stack(b.basis))
+
+
+def raw_complement(a: Subspace) -> Subspace:
+    return Subspace(a.ambient, a.basis.conj().nullspace(), _canonical=True)
+
+
+def raw_meet(a: Subspace, b: Subspace) -> Subspace:
+    return raw_complement(raw_join(raw_complement(a), raw_complement(b)))
+
+
+def test_computed_table_matches_uncached_recomputation():
+    rng = random.Random(24)
+    transient_ids: set[int] = set()
+    reused = evictions = 0
+    for d in range(2, 7):
+        for complex_ok in (False, True):
+            pool = [random_subspace(rng, d, complex_ok) for _ in range(5)] + [Subspace.zero(d), Subspace.full(d)]
+            for _ in range(60):
+                a, b = rng.choice(pool), rng.choice(pool)
+                # dropped after this step; once the table evicts it, its id is free for reuse
+                transient = random_subspace(rng, d, complex_ok)
+                reused += id(transient) in transient_ids
+                transient_ids.add(id(transient))
+                for x, y in ((a, b), (a, transient), (transient, b)):
+                    full_before = len(lattice._table) == lattice._TABLE_BOUND
+                    m, j, c = x.meet(y), x.join(y), x.complement()
+                    assert (m, j, c) == (raw_meet(x, y), raw_join(x, y), raw_complement(x))
+                    assert x.meet(y) is m and x.join(y) is j and x.complement() is c
+                    assert c.complement() is x
+                    assert len(lattice._table) <= lattice._TABLE_BOUND
+                    evictions += full_before
+                # results become operands, so later steps repeat earlier ones
+                pool[rng.randrange(len(pool))] = rng.choice((a.meet(b), a.join(b), a.complement()))
+    assert evictions > 0 and reused > 0
+
+
+def test_shared_constants_and_double_complement():
+    for d in range(0, 5):
+        assert Subspace.zero(d) is Subspace.zero(d) and Subspace.full(d) is Subspace.full(d)
+        assert Subspace.zero(d).complement().complement() is Subspace.zero(d)
+    rng = random.Random(25)
+    for d in (2, 3, 4):
+        s = random_subspace(rng, d)
+        assert s.complement().complement() is s

@@ -5,7 +5,7 @@ import pytest
 
 from grlogic import staudt
 from grlogic.exactlin import I, Matrix, Scalar
-from grlogic.formula import And, Assignment, Not, Or, Var, evaluate, free_vars, iter_nodes
+from grlogic.formula import Assignment, Var, evaluate
 from grlogic.lattice import Subspace
 
 from conftest import random_matrix, random_scalar, random_subspace
@@ -179,40 +179,50 @@ def test_arithmetic_matches_plain_evaluation_of_its_terms():
                     assert getattr(staudt, kind)(*args.values(), fr) == want, (kind, d)
 
 
-def test_warmed_arithmetic_steps_skip_the_frame_only_subterms(monkeypatch):
-    calls = {}
-    for name in ("meet", "join", "complement"):
+def count_kernel_computations(monkeypatch) -> dict[str, int]:
+    """Count the lattice's computed-table misses: each one runs the
+    private connective that does the kernel computation."""
+    calls = {"all": 0}
+    for name in ("_meet", "_join", "_complement"):
         original = getattr(Subspace, name)
 
         def counted(*args, _original=original):
-            calls["all"] = calls.get("all", 0) + 1
+            calls["all"] += 1
             return _original(*args)
 
         monkeypatch.setattr(Subspace, name, counted)
+    return calls
+
+
+def test_warmed_arithmetic_steps_skip_the_frame_only_subterms(monkeypatch):
+    # a step on fresh encodings computes only the subterms that read them;
+    # evaluating every subterm afresh would take 14, 15 and 20 computations
+    calls = count_kernel_computations(monkeypatch)
     rng = random.Random(98)
-    # without the residual terms: 14, 15 and 20 calls
     expected = {"mul": 8, "sub": 6, "adjoint": 11}
     for d in (1, 2):
         fr = staudt.standard_frame(d)
-        a, b = (staudt.encode(gaussian_integer_matrix(rng, d, True), fr) for _ in range(2))
         for kind, _, names in ARITHMETIC:
-            args = (a, b)[: len(names)]
-            getattr(staudt, kind)(*args, fr)  # warm
-            calls.clear()
-            getattr(staudt, kind)(*args, fr)
+            step = getattr(staudt, kind)
+            step(*(staudt.encode(gaussian_integer_matrix(rng, d, True), fr) for _ in names), fr)  # warm
+            args = [staudt.encode(gaussian_integer_matrix(rng, d, True), fr) for _ in names]
+            calls["all"] = 0
+            step(*args, fr)
             assert calls == {"all": expected[kind]}, (kind, d)
 
 
-def test_residual_terms_hold_no_frame_only_compound():
+def test_warmed_int_terms_compute_nothing(monkeypatch):
+    # int_term reads only frame members, so a second evaluation is all table hits
+    calls = count_kernel_computations(monkeypatch)
     for d in (1, 2, 3):
-        for kind, term, names in ARITHMETIC:
-            rest, pinned = staudt._residual(term, d)
-            assert free_vars(rest) == set(names) | set(pinned)
-            assert all(name.startswith("#") for name in pinned)
-            for node in iter_nodes(rest):
-                if type(node) in (Not, And, Or):
-                    assert free_vars(node) & set(names), (kind, node)
-            assert all(v.ambient == 3 * d for v in pinned.values())
+        fr = staudt.standard_frame(d)
+        for k in (-3, 0, 1, 6, 56, 72):
+            term = staudt.int_term(k)
+            want = evaluate(term, Assignment(3 * d, fr.members()))
+            calls["all"] = 0
+            assert evaluate(term, Assignment(3 * d, fr.members())) is want
+            assert calls == {"all": 0}, (k, d)
+            assert staudt.decode(want, fr) == Matrix.identity(d).scale(k)
 
 
 def test_encode_decode_roundtrip_random():
