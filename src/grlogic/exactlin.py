@@ -6,6 +6,12 @@ row reduction, kernel computation and linear solving are all exact, so
 equality of scalars, matrices and (downstream) subspaces is decidable and
 used as the primary comparison everywhere in this package.
 
+``rref``, ``rank``, ``nullspace`` and ``solve`` all rest on one row
+reduction, ``_rref_rows``.  It converts its rows once into Gaussian-integer
+pairs of Python ints, eliminates fraction-free with exact division
+(Bareiss), and converts the result once back into canonical Scalar rows;
+no Fraction arithmetic runs in between.
+
 No floating point enters at any stage.
 """
 
@@ -13,6 +19,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 ScalarLike = Union["Scalar", int, Fraction]
@@ -336,33 +343,73 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref_rows(rows: list[list[Scalar]], cols: int) -> tuple[list[list[Scalar]], list[int]]:
-    """In-place Gauss-Jordan on a list of rows; returns (nonzero rows, pivot columns)."""
-    m = len(rows)
+def _rref_rows(rows: Sequence[Sequence[Scalar]], cols: int) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form of the given rows; returns (nonzero rows, pivot columns).
+
+    The rows are read, not modified.  Elimination is fraction-free
+    Gauss-Jordan on Gaussian integers (re, im): each row is first scaled by
+    the lcm of its denominators.  A step with pivot p in pivot row b replaces
+    every other row a by (p*a - a[c]*b) / q, where q is the previous step's
+    pivot (1 at the first).  The division is exact in Z[i], since every entry
+    is a minor of the scaled rows (Bareiss, Math. Comp. 22, 1968); it is done
+    as an integer division after multiplying by conj(q).  Every pivot row
+    ends with the last pivot in its pivot column, so dividing by it gives the
+    canonical rows: pivots ONE, cleared entries ZERO, the rest Fraction pairs.
+    """
+    work: list[list[tuple[int, int]]] = []
+    for row in rows:
+        parts = [(x.re.as_integer_ratio(), x.im.as_integer_ratio()) for x in row]
+        den = lcm(*[a[1] for a, _ in parts], *[b[1] for _, b in parts])
+        if den == 1:
+            work.append([(a[0], b[0]) for a, b in parts])
+        else:
+            work.append([(a[0] * (den // a[1]), b[0] * (den // b[1])) for a, b in parts])
+    m = len(work)
     pivots: list[int] = []
     r = 0
+    qr, qi = 1, 0
     for c in range(cols):
-        pivot_row = None
         for i in range(r, m):
-            if not rows[i][c].is_zero():
-                pivot_row = i
+            pr, pi = work[i][c]
+            if pr or pi:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != ONE:
-            inv = ONE / pv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i == r:
+        work[r], work[i] = work[i], work[r]
+        b = work[r]
+        # (p*a - f*b) / q == (P*a - F*b) // n with P = p*conj(q), F = f*conj(q), n = |q|^2
+        n = qr * qr + qi * qi
+        Pr, Pi = pr * qr + pi * qi, pi * qr - pr * qi
+        for k in range(m):
+            if k == r:
                 continue
-            factor = rows[i][c]
-            if not factor.re and not factor.im:
-                continue
-            rows[i] = [a if (not b.re and not b.im) else a - factor * b for a, b in zip(rows[i], rows[r])]
+            a = work[k]
+            fr, fi = a[c]
+            if not (fr or fi) and pr == qr and pi == qi:
+                continue  # (p*a - 0*b) / q is a itself
+            Fr, Fi = fr * qr + fi * qi, fi * qr - fr * qi
+            if Pi or Fi:
+                work[k] = [
+                    ((Pr * x - Pi * y - Fr * u + Fi * v) // n, (Pr * y + Pi * x - Fr * v - Fi * u) // n)
+                    for (x, y), (u, v) in zip(a, b)
+                ]
+            else:  # real multipliers: no cross terms
+                work[k] = [((Pr * x - Fr * u) // n, (Pr * y - Fr * v) // n) for (x, y), (u, v) in zip(a, b)]
         pivots.append(c)
+        qr, qi = pr, pi
         r += 1
         if r == m:
             break
-    return rows[:r], pivots
+    n = qr * qr + qi * qi
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set]
+    reduced = []
+    for row, p in zip(work, pivots):
+        out = [ZERO] * cols
+        out[p] = ONE
+        for j in free:
+            x, y = row[j]
+            if x or y:
+                out[j] = Scalar(Fraction(x * qr + y * qi, n), Fraction(y * qr - x * qi, n))
+        reduced.append(out)
+    return reduced, pivots
